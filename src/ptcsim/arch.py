@@ -180,6 +180,101 @@ def _normalize_chunk_masks(arch: ArchConfig, row_mask, col_mask):
     return row, col
 
 
+class ColumnPowerModel:
+    """Modeled power (mW) of a layer's p*q chunk mappings as a function of
+    its column mask: the one pricing of a mask, for any mode and output
+    gating setting (the defaults are the prune/grow objective's).
+
+    ``weights6`` is the (p, q, r, c, k1, k2) partitioned view, priced as
+    given; None prices one chunk with every MZI at the uniform mean phase.
+    With the row mask fixed, power is a constant (readout, plus what the
+    mode keeps on whatever the columns), a per-column term ``col_unit_mw``
+    (heater MZIs over live rows, plus modulator+DAC when the mode gates
+    inputs, plus detectors when it redistributes light) and, under
+    redistribution, one rerouter term per (chunk, input module).  Rerouter
+    evaluations are memoized by bit pattern, which is what makes
+    combination search affordable.
+    """
+
+    def __init__(self, row_mask, weights6, arch: ArchConfig,
+                 device: DeviceParams, layout: LayoutParams,
+                 fit: GammaFit = GammaFit(),
+                 mode: ExecutionMode = ExecutionMode.INPUT_GATING_LR,
+                 output_gating: bool = True):
+        row = np.asarray(row_mask, dtype=bool)
+        if weights6 is None:
+            phase = np.full((1, 1, arch.r, arch.c, arch.k1, arch.k2),
+                            UNIFORM_MEAN_PHASE_RAD)
+        else:
+            w6 = np.asarray(weights6, dtype=float)
+            if w6.ndim != 6:
+                raise DeviceModelError("weights must be the 6-D partitioned view")
+            phase = np.abs(weight_to_phase(w6))
+        p, q, r, c, k1, k2 = phase.shape
+        if row.shape != (r, k1) or (r, c, k1, k2) != (arch.r, arch.c, arch.k1, arch.k2):
+            raise DeviceModelError("mask/weight shapes disagree with the arch config")
+        self._shape = (p, q, c, k2)
+        self._rerouter_args = (layout.l_s_um, device, fit)
+        self._redistributes = mode.redistributes
+        unit = mzi_power(phase, layout.l_s_um, device, fit)
+        self._col_mzi_mw = (unit * row[None, None, :, None, :, None]).sum(axis=(2, 4))
+
+        p_channel = (device.p_mod_static_mw + device.e_mod_pj * arch.f_ghz
+                     + arch.input_dac_power_mw(device))
+        p_col_pd = 2.0 * device.p_pd_mw * (r * k1)
+        p_read = device.p_tia_mw + adc_power(arch.b_o, arch.f_ghz, device)
+        n_cols = p * q * c * k2
+        n_out = int(row.sum()) if output_gating else r * k1
+
+        self._col_input_mw = p_channel if mode.gates_inputs else 0.0
+        self._col_pd_mw = p_col_pd if mode.redistributes else 0.0
+        self._input_const_mw = 0.0 if mode.gates_inputs else n_cols * p_channel
+        self._pd_const_mw = 0.0 if mode.redistributes else n_cols * p_col_pd
+        self._readout_mw = p * q * n_out * p_read
+        self.const_mw = self._readout_mw + self._input_const_mw + self._pd_const_mw
+        self.col_unit_mw = self._col_mzi_mw + self._col_input_mw + self._col_pd_mw
+
+        self._rerouter_cache: dict[bytes, float] = {}
+
+    def _check(self, col_mask) -> np.ndarray:
+        col = np.asarray(col_mask, dtype=bool)
+        if col.shape != self._shape:
+            raise DeviceModelError(f"column mask must be {self._shape}")
+        return col
+
+    def _rerouter_mw(self, pattern: np.ndarray) -> float:
+        key = np.packbits(pattern).tobytes()
+        hit = self._rerouter_cache.get(key)
+        if hit is None:
+            hit = rerouter_configure(pattern, *self._rerouter_args).total_power_mw
+            self._rerouter_cache[key] = hit
+        return hit
+
+    def power(self, col_mask) -> float:
+        """Layer power (mW) summed over all p*q chunk mappings."""
+        col = self._check(col_mask)
+        total = self.const_mw + float((col * self.col_unit_mw).sum())
+        if self._redistributes:
+            # One by one in (p, q, c) order: exact ties between masks
+            # depend on this sum order.
+            for pattern in col.reshape(-1, col.shape[-1]):
+                total += self._rerouter_mw(pattern)
+        return total
+
+    def breakdown(self, col_mask) -> PowerBreakdown:
+        """The same power split by device group, summed over all chunks."""
+        col = self._check(col_mask)
+        n_live = int(col.sum())
+        rerouter_mw = (sum(self._rerouter_mw(m) for m in col.reshape(-1, col.shape[-1]))
+                       if self._redistributes else 0.0)
+        return PowerBreakdown(
+            self._input_const_mw + n_live * self._col_input_mw,
+            float((col * self._col_mzi_mw).sum()) + self._pd_const_mw
+            + n_live * self._col_pd_mw,
+            self._readout_mw,
+            rerouter_mw)
+
+
 def chunk_power(arch: ArchConfig, device: DeviceParams, layout: LayoutParams,
                 fit: GammaFit = GammaFit(), weights=None,
                 row_mask=None, col_mask=None,
@@ -187,51 +282,16 @@ def chunk_power(arch: ArchConfig, device: DeviceParams, layout: LayoutParams,
                 output_gating: bool = True) -> PowerBreakdown:
     """Power of the hardware slice serving one (r*k1) x (c*k2) weight chunk.
 
-    The slice is r*c cores, c input modules and r readout arrays.
-    ``weights`` is an (r, c, k1, k2) array; pass None for the analytic
-    uniform-weight estimate (mean |phase| = pi/2 - 1).  Gating follows the
-    execution mode: input channels power off only under input gating,
-    photodiodes only under light redistribution (no light means no
-    photocurrent), readout channels whenever output gating is on.
+    The slice is r*c cores, c input modules and r readout arrays; this is
+    the one-chunk case of :class:`ColumnPowerModel`.  ``weights`` is an
+    (r, c, k1, k2) array; pass None for the analytic uniform-weight
+    estimate (mean |phase| = pi/2 - 1).
     """
     row, col = _normalize_chunk_masks(arch, row_mask, col_mask)
-    gated_input = mode in (ExecutionMode.INPUT_GATING, ExecutionMode.INPUT_GATING_LR)
-
-    # --- input modules: c modules of k2 modulator+DAC channels ----------
-    p_channel = (device.p_mod_static_mw + device.e_mod_pj * arch.f_ghz
-                 + arch.input_dac_power_mw(device))
-    n_in = int(col.sum()) if gated_input else arch.c * arch.k2
-    input_mw = n_in * p_channel
-
-    # --- weight array: r*c cores of k1*k2 nodes --------------------------
-    alive = row[:, None, :, None] & col[None, :, None, :]   # (r, c, k1, k2)
-    n_alive = int(alive.sum())
-    if weights is None:
-        mean_mw = mzi_power(UNIFORM_MEAN_PHASE_RAD, layout.l_s_um, device, fit)
-        mzi_mw = n_alive * mean_mw
-    else:
-        w = np.asarray(weights, dtype=float).reshape(arch.r, arch.c, arch.k1, arch.k2)
-        phases = weight_to_phase(np.where(alive, w, 0.0))
-        mzi_mw = float(np.sum(mzi_power(np.abs(phases), layout.l_s_um, device, fit)))
-    if mode is ExecutionMode.INPUT_GATING_LR:
-        # Dark columns receive no light at all, so their detectors idle.
-        n_pd_nodes = arch.r * arch.k1 * int(col.sum())
-    else:
-        n_pd_nodes = arch.r * arch.c * arch.k1 * arch.k2
-    weight_mw = mzi_mw + 2 * device.p_pd_mw * n_pd_nodes
-
-    # --- readout: r arrays of k1 TIA+ADC channels ------------------------
-    p_read = device.p_tia_mw + adc_power(arch.b_o, arch.f_ghz, device)
-    n_out = int(row.sum()) if output_gating else arch.r * arch.k1
-    readout_mw = n_out * p_read
-
-    # --- rerouter: one per input module, driven only under redistribution
-    rerouter_mw = 0.0
-    if mode is ExecutionMode.INPUT_GATING_LR:
-        for ci in range(arch.c):
-            rerouter_mw += rerouter_configure(col[ci], layout.l_s_um, device, fit).total_power_mw
-
-    return PowerBreakdown(input_mw, weight_mw, readout_mw, rerouter_mw)
+    w6 = None if weights is None else np.asarray(weights, dtype=float).reshape(
+        1, 1, arch.r, arch.c, arch.k1, arch.k2)
+    model = ColumnPowerModel(row, w6, arch, device, layout, fit, mode, output_gating)
+    return model.breakdown(col[None, None])
 
 
 def power(arch: ArchConfig, device: DeviceParams, layout: LayoutParams,

@@ -193,8 +193,8 @@ def _cmd_nmae(args, cfg: Config, seed: int) -> int:
     for comp in res["comparisons"]:
         extra = (f" density={comp['col_density']}"
                  if "col_density" in comp else "")
-        print(f"l_g={comp['l_g_um']}{extra}: {comp['claim']}: "
-              f"z = {comp['z']:.2f}")
+        z = "n/a" if comp["z"] is None else f"{comp['z']:.2f}"
+        print(f"l_g={comp['l_g_um']}{extra}: {comp['claim']}: z = {z}")
     return 0
 
 

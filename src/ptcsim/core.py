@@ -51,6 +51,18 @@ class ExecutionMode(enum.Enum):
             valid = ", ".join(m.value for m in cls)
             raise DeviceModelError(f"unknown execution mode {name!r}; expected one of {valid}")
 
+    # Which devices each mode powers, read by the light path below and by
+    # the power model in ``arch``.
+    @property
+    def gates_inputs(self) -> bool:
+        """Pruned columns' modulators and DACs are off."""
+        return self is not ExecutionMode.PRUNE_ONLY
+
+    @property
+    def redistributes(self) -> bool:
+        """Rerouter on, dark columns' detectors idle, readout gain k2'/k2."""
+        return self is ExecutionMode.INPUT_GATING_LR
+
 
 def derive_rng(root_seed: int, *path: int) -> np.random.Generator:
     """Deterministic per-task RNG: (root, scenario, point, trial, ...).
@@ -140,9 +152,10 @@ def _validate_mvm_args(x, w, row_mask, col_mask):
     if w.ndim < 2:
         raise DeviceModelError("weight array must be at least 2-D (k1, k2)")
     k1, k2 = w.shape[-2], w.shape[-1]
-    if np.any(np.abs(w) > 1.0):
+    # Written so that NaN fails the range checks.
+    if not np.all((-1.0 <= w) & (w <= 1.0)):
         raise DeviceModelError("weights must lie in [-1, 1]")
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if not np.all((0.0 <= x) & (x <= 1.0)):
         raise DeviceModelError("inputs must lie in [0, 1]")
     if row_mask.shape[-1] != k1:
         raise DeviceModelError(f"row mask must have {k1} entries")
@@ -193,14 +206,14 @@ def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
     w_eff = np.where(dead & (np.abs(w_eff) < tau), floored, w_eff)
 
     k2_alive = col.sum(axis=-1)
-    if mode is ExecutionMode.PRUNE_ONLY:
-        x_eff = x
-    elif mode is ExecutionMode.INPUT_GATING:
-        x_eff = np.where(col[..., :, None], x, tau * x)
-    else:  # INPUT_GATING_LR: all light into surviving columns
+    if mode.redistributes:  # all light into surviving columns
         boost = np.divide(k2, k2_alive, out=np.zeros(np.shape(k2_alive), dtype=float),
                           where=k2_alive > 0)
         x_eff = np.where(col[..., :, None], x, 0.0) * np.asarray(boost)[..., None, None]
+    elif mode.gates_inputs:
+        x_eff = np.where(col[..., :, None], x, tau * x)
+    else:
+        x_eff = x
 
     y = w_eff @ x_eff
     if params.pd_noise_sigma > 0:
@@ -208,7 +221,7 @@ def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
         noise = rng.normal(0.0, params.pd_noise_sigma,
                            size=y.shape[:-2] + (k1, k2, n_vec))
         y = y + noise.sum(axis=-2)
-    if mode is ExecutionMode.INPUT_GATING_LR:
+    if mode.redistributes:
         y = y * (np.asarray(k2_alive, dtype=float) / k2)[..., None, None]
     if output_gating:
         y = np.where(row[..., :, None], y, 0.0)

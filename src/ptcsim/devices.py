@@ -96,10 +96,10 @@ def weight_to_phase(weight):
     """Differential phase (rad) that realizes a normalized weight in [-1, 1].
 
     Inverse of :func:`phase_to_weight`; the full weight range maps onto
-    [-pi/2, pi/2].  Out-of-range weights raise, they are not clipped.
+    [-pi/2, pi/2].  Out-of-range or NaN weights raise, they are not clipped.
     """
     w = np.asarray(weight, dtype=float)
-    if np.any(np.abs(w) > 1.0):
+    if not np.all((-1.0 <= w) & (w <= 1.0)):
         raise DeviceModelError("weights must lie in [-1, 1]")
     out = -np.arcsin(w)
     if np.ndim(weight) == 0:

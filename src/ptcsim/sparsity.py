@@ -28,16 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import ArchConfig
-from .devices import (
-    DeviceModelError,
-    DeviceParams,
-    GammaFit,
-    adc_power,
-    mzi_power,
-    weight_to_phase,
-)
-from .core import rerouter_configure
+from .arch import ArchConfig, ColumnPowerModel
+from .devices import DeviceModelError, DeviceParams, GammaFit
 from .layout import LayoutParams
 
 
@@ -232,73 +224,18 @@ def combinations_capped(n: int, k: int, cap: int) -> list[tuple[int, ...]]:
     return [_comb_unrank(n, k, rank) for rank in ranks]
 
 
-class ColumnPowerModel:
-    """Fast evaluator of a layer's modeled power as a function of its
-    column mask.
+def weight_scale(w) -> float:
+    """Per-layer scale mapping weights onto [-1, 1] as the hardware backend
+    does: the largest magnitude at full scale, 1 for an all-zero layer."""
+    return float(np.max(np.abs(w))) or 1.0
 
-    Power decomposes into a constant readout term (row mask is fixed),
-    a per-column additive term — input channel, detectors, and the column's
-    weight devices — and a splitter-tree rerouter term per (chunk, input
-    module) that depends on the joint on/off pattern of that module's k2
-    columns.  Rerouter evaluations are memoized by bit pattern, which is
-    what makes combination search affordable.
 
-    Weights are normalized per layer to the mapped range [-1, 1] (largest
-    magnitude at full scale), matching how the hardware backend maps them.
-    Gating semantics are the full set (input gating + output gating +
-    light redistribution): pruned columns power off their input channel,
-    weight devices and detectors; pruned rows power off their readout.
-    """
-
-    def __init__(self, row_mask, weights6, arch: ArchConfig,
-                 device: DeviceParams, layout: LayoutParams,
-                 fit: GammaFit = GammaFit()):
-        row = np.asarray(row_mask, dtype=bool)
-        w6 = np.asarray(weights6, dtype=float)
-        if w6.ndim != 6:
-            raise DeviceModelError("weights must be the 6-D partitioned view")
-        p, q, r, c, k1, k2 = w6.shape
-        if row.shape != (r, k1) or (r, c, k1, k2) != (arch.r, arch.c, arch.k1, arch.k2):
-            raise DeviceModelError("mask/weight shapes disagree with the arch config")
-        self._shape = (p, q, c, k2)
-        self._device = device
-        self._layout = layout
-        self._fit = fit
-
-        p_read = device.p_tia_mw + adc_power(arch.b_o, arch.f_ghz, device)
-        self.const_mw = p * q * int(row.sum()) * p_read
-
-        scale = float(np.max(np.abs(w6)))
-        wn = w6 / scale if scale > 0 else w6
-        unit = mzi_power(np.abs(weight_to_phase(wn)), layout.l_s_um, device, fit)
-        col_mzi = (unit * row[None, None, :, None, :, None]).sum(axis=(2, 4))
-        p_channel = (device.p_mod_static_mw + device.e_mod_pj * arch.f_ghz
-                     + arch.input_dac_power_mw(device))
-        self.col_unit_mw = col_mzi + p_channel + 2.0 * device.p_pd_mw * (r * k1)
-
-        self._rerouter_cache: dict[bytes, float] = {}
-
-    def _rerouter_mw(self, pattern: np.ndarray) -> float:
-        key = np.packbits(pattern).tobytes()
-        hit = self._rerouter_cache.get(key)
-        if hit is None:
-            hit = rerouter_configure(pattern, self._layout.l_s_um,
-                                     self._device, self._fit).total_power_mw
-            self._rerouter_cache[key] = hit
-        return hit
-
-    def power(self, col_mask) -> float:
-        """Layer power (mW) summed over all p*q chunk mappings."""
-        col = np.asarray(col_mask, dtype=bool)
-        if col.shape != self._shape:
-            raise DeviceModelError(f"column mask must be {self._shape}")
-        total = self.const_mw + float((col * self.col_unit_mw).sum())
-        p, q, c, _ = self._shape
-        for pi in range(p):
-            for qi in range(q):
-                for ci in range(c):
-                    total += self._rerouter_mw(col[pi, qi, ci])
-        return total
+def _objective(row, weights6, arch: ArchConfig, device: DeviceParams,
+               layout: LayoutParams, fit: GammaFit) -> ColumnPowerModel:
+    """The prune/grow objective: the layer's full-gating power model (input
+    gating, light redistribution, output gating) on its scaled weights."""
+    w6 = np.asarray(weights6, dtype=float)
+    return ColumnPowerModel(row, w6 / weight_scale(w6), arch, device, layout, fit)
 
 
 def mask_power(mask: SparsityMask, weights6, arch: ArchConfig,
@@ -309,8 +246,7 @@ def mask_power(mask: SparsityMask, weights6, arch: ArchConfig,
     Sums the per-chunk slice power over all p*q chunks under full gating
     (energy-proportional since every chunk runs the same cycle count).
     """
-    model = ColumnPowerModel(mask.row, weights6, arch, device, layout, fit)
-    return model.power(mask.col)
+    return _objective(mask.row, weights6, arch, device, layout, fit).power(mask.col)
 
 
 @dataclass(frozen=True)
@@ -384,7 +320,7 @@ def init_masks(s: float, c_out: int, fan_in: int, arch: ArchConfig,
     row_ones = int(row.sum())
     n_keep = _column_target(s, (p, q, arch.r, arch.c, arch.k1, arch.k2), row_ones)
     if n_keep < len(usable):
-        model = ColumnPowerModel(row, w6, arch, device, layout, fit)
+        model = _objective(row, w6, arch, device, layout, fit)
         empty = np.zeros_like(col)
         sel = select_columns_min_power(model, empty, usable, n_keep,
                                        turn_on=True, cap=max_combinations)
@@ -418,7 +354,7 @@ def prune_step(mask: SparsityMask, weights6, schedule: DstSchedule, t: int,
     row_ones = int(mask.row.sum())
     unpruned = int(mask.effective6().sum())
     n_c = round_half_up(round_half_up(alpha * unpruned) / row_ones)
-    model = ColumnPowerModel(mask.row, w6, arch, device, layout, fit)
+    model = _objective(mask.row, w6, arch, device, layout, fit)
     if n_c == 0:
         return mask, MaskUpdateInfo(alpha, 0, model.power(mask.col), 0)
 
@@ -455,7 +391,7 @@ def grow_step(mask: SparsityMask, gradients6, weights6, s: float,
     row_ones = int(mask.row.sum())
     current = int(mask.effective6().sum())
     n_c = round_half_up((s * mask.effective6().size - current) / row_ones)
-    model = ColumnPowerModel(mask.row, w6, arch, device, layout, fit)
+    model = _objective(mask.row, w6, arch, device, layout, fit)
     dead = np.flatnonzero(~mask.col.reshape(-1) & ~np.broadcast_to(
         mask.padded_col[None], mask.col.shape).reshape(-1))
     if n_c <= 0 or len(dead) == 0:

@@ -18,17 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch import (
-    ArchConfig,
-    PowerBreakdown,
-    area,
-    chunk_power,
-    pap,
-    power,
-)
+from .arch import ArchConfig, ColumnPowerModel, area, pap, power
 from .config import Config, ConfigError, apply_overrides
 from .core import ExecutionMode, derive_rng, ideal_mvm, nmae, simulate_mvm, simulate_mvm_batch
-from .devices import DeviceParams, GammaFit, mzi_power, weight_to_phase
+from .devices import DeviceParams, GammaFit
 from .layout import LayoutParams
 from .sparsity import combinations_capped, interleaved_ones, partition, round_half_up
 
@@ -126,32 +119,6 @@ def run_sweep(cfg: Config, threads: int = 1) -> dict:
 # progressive design walk
 
 
-def _sum_breakdowns(parts: list[PowerBreakdown]) -> PowerBreakdown:
-    return PowerBreakdown(
-        sum(p.input_mw for p in parts),
-        sum(p.weight_mw for p in parts),
-        sum(p.readout_mw for p in parts),
-        sum(p.rerouter_mw for p in parts),
-    )
-
-
-def _workload_power(arch: ArchConfig, device: DeviceParams,
-                    layout: LayoutParams, fit: GammaFit, w6: np.ndarray,
-                    row: np.ndarray, col6: np.ndarray, mode: ExecutionMode,
-                    output_gating: bool) -> PowerBreakdown:
-    """Average accelerator power while streaming the chunked workload.
-
-    Chunks get equal cycle counts, so the average is the chunk-mean slice
-    power scaled by the number of simultaneously resident chunks.
-    """
-    p, q = w6.shape[:2]
-    parts = [chunk_power(arch, device, layout, fit, weights=w6[pi, qi],
-                         row_mask=row, col_mask=col6[pi, qi], mode=mode,
-                         output_gating=output_gating)
-             for pi in range(p) for qi in range(q)]
-    return _sum_breakdowns(parts).scaled(arch.n_chunk_slots / (p * q))
-
-
 def _magnitude_columns(w6: np.ndarray, row6: np.ndarray, n_keep: int) -> np.ndarray:
     """Keep the ``n_keep`` largest-norm columns (norms over unpruned rows)."""
     p, q = w6.shape[:2]
@@ -163,9 +130,9 @@ def _magnitude_columns(w6: np.ndarray, row6: np.ndarray, n_keep: int) -> np.ndar
     return col.reshape(p, q, c, k2)
 
 
-def _power_aware_columns(w6: np.ndarray, row6: np.ndarray, col6: np.ndarray,
-                         device: DeviceParams, layout: LayoutParams,
-                         fit: GammaFit, margin: int = 2,
+def _power_aware_columns(w6: np.ndarray, row: np.ndarray, col6: np.ndarray,
+                         arch: ArchConfig, device: DeviceParams,
+                         layout: LayoutParams, fit: GammaFit, margin: int = 2,
                          cap: int = 10000) -> np.ndarray:
     """Re-pick the kept columns to minimize modeled power, never worse.
 
@@ -173,13 +140,13 @@ def _power_aware_columns(w6: np.ndarray, row6: np.ndarray, col6: np.ndarray,
     the magnitude ranking; the incumbent itself is always evaluated, so
     the returned selection cannot draw more power than it.  Under
     prune-only accounting only the weight MZIs depend on the column
-    choice, so each candidate combination scores as a sum of per-column
-    heater powers.
+    choice, so each candidate combination scores as a sum of the model's
+    per-column terms.
     """
     shape = col6.shape
-    phases = np.abs(weight_to_phase(w6))
-    col_mzi = (mzi_power(phases, layout.l_s_um, device, fit) * row6).sum(axis=(2, 4))
-    col_mzi = col_mzi.reshape(-1)
+    col_mw = ColumnPowerModel(row, w6, arch, device, layout, fit,
+                              ExecutionMode.PRUNE_ONLY).col_unit_mw.reshape(-1)
+    row6 = row[None, None, :, None, :, None]
     norms = np.sqrt((w6 ** 2 * row6).sum(axis=(2, 4))).reshape(-1)
 
     n_keep = int(col6.sum())
@@ -189,9 +156,9 @@ def _power_aware_columns(w6: np.ndarray, row6: np.ndarray, col6: np.ndarray,
     pool_index = {int(j): i for i, j in enumerate(pool)}
     incumbent = tuple(sorted(pool_index[int(j)] for j in incumbent_flat))
 
-    best_combo, best_power = incumbent, float(col_mzi[pool[list(incumbent)]].sum())
+    best_combo, best_power = incumbent, float(col_mw[pool[list(incumbent)]].sum())
     for combo in combinations_capped(len(pool), n_keep, cap):
-        p_mw = float(col_mzi[pool[list(combo)]].sum())
+        p_mw = float(col_mw[pool[list(combo)]].sum())
         if p_mw < best_power:
             best_combo, best_power = combo, p_mw
     col = np.zeros(norms.size, dtype=bool)
@@ -230,8 +197,12 @@ def run_progressive(cfg: Config, seed: int) -> dict:
             density = 1.0
             mode_label = "dense"
         else:
-            pb = _workload_power(arch, device, layout, fit, w6, row, col6,
-                                 mode, output_gating)
+            # Chunks get equal cycle counts, so the average power is the
+            # chunk-mean slice power times the resident chunk slots.
+            model = ColumnPowerModel(row, w6, arch, device, layout, fit,
+                                     mode, output_gating)
+            pb = model.breakdown(col6).scaled(
+                arch.n_chunk_slots / (w6.shape[0] * w6.shape[1]))
             density = float((row.sum() * col6.sum())
                             / (row.size * col6[0, 0].size * col6.shape[0] * col6.shape[1]))
             mode_label = mode.value
@@ -286,7 +257,7 @@ def run_progressive(cfg: Config, seed: int) -> dict:
     output_gating = True
     emit("structured-sparsity")
 
-    col6 = _power_aware_columns(w6, row6, col6, device, layout, fit)
+    col6 = _power_aware_columns(w6, row, col6, arch, device, layout, fit)
     emit("power-aware-masks")
 
     mode = ExecutionMode.INPUT_GATING_LR
@@ -348,12 +319,13 @@ def _nmae_block(w6: np.ndarray, x: np.ndarray, row: np.ndarray,
 
 
 def _one_sided_z(diffs: np.ndarray) -> dict:
-    """z statistic for 'mean(diffs) > 0' (paired one-sided test)."""
+    """z statistic for 'mean(diffs) > 0' (paired one-sided test); None
+    when the standard error is 0, where it is undefined."""
     d = np.asarray(diffs, dtype=float)
     mean = float(d.mean())
-    se = float(d.std(ddof=1) / math.sqrt(d.size)) if d.size > 1 else 0.0
-    z = mean / se if se > 0 else (math.inf if mean > 0 else 0.0)
-    return {"mean_diff": mean, "se": se, "z": float(z), "n": int(d.size)}
+    se = float(d.std(ddof=1) / math.sqrt(d.size))
+    z = float(mean / se) if se > 0 else None
+    return {"mean_diff": mean, "se": se, "z": z, "n": int(d.size)}
 
 
 def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
@@ -369,6 +341,10 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
     and noise draws, so differences are paired; ``comparisons`` holds
     one-sided z statistics for the headline orderings.
     """
+    if n_seeds < 2:
+        raise ValueError(f"the study needs at least 2 seeds (--trials), got {n_seeds}")
+    if n_vectors < 1:
+        raise ValueError(f"the study needs at least 1 vector (--vectors), got {n_vectors}")
     arch, device = cfg.arch, cfg.device
     fit = GammaFit()
     w2d = derive_rng(seed, 8).uniform(-1.0, 1.0, size=(arch.chunk_rows,
@@ -533,4 +509,6 @@ def write_csv(path: str | Path, columns, rows) -> None:
 
 
 def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    # Strict JSON: a NaN or infinity raises instead of writing a bare token.
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2,
+                                     allow_nan=False) + "\n")

@@ -44,6 +44,7 @@ from .sparsity import (
     partition,
     partition_dims,
     prune_step,
+    weight_scale,
 )
 
 CHECKPOINT_FORMAT = "ptcsim-checkpoint-1"
@@ -90,7 +91,7 @@ class PhotonicBackend:
         if self.mask.col.shape[:2] != (p, q):
             raise DeviceModelError("sparsity mask does not fit this layer")
 
-        w_scale = float(np.max(np.abs(w))) or 1.0
+        w_scale = weight_scale(w)
         x_scale = float(x.max()) if x.size and x.max() > 0 else 1.0
         w6 = partition(w / w_scale, arch)
         xp = np.zeros((q * arch.chunk_cols, m))
@@ -342,7 +343,8 @@ def save_checkpoint(path: str | Path, result: TrainResult,
         "masks": {str(k): _mask_to_json(m) for k, m in result.masks.items()},
         "history": result.history,
     }
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1,
+                                     allow_nan=False) + "\n")
 
 
 def load_checkpoint(path: str | Path

@@ -1,0 +1,38 @@
+"""The program's side of the benchmark's output contract.
+
+``bench/run.py`` ends its output with one JSON line that the benchmark's
+driver parses.  This runs the shortest workload once untraced and once
+traced and checks that line, so a change to the program that breaks it
+fails here first.  The benchmark's files are read, never edited.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _reject(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_bench_run_ends_with_strict_json(trace):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "design_walk",
+         "--seconds", "1", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert not [ln for ln in lines if ln.startswith("absent ")]
+    result = json.loads(lines[-1], parse_constant=_reject)
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    if trace == 0:
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        assert set(result["metrics"]) == {m["name"] for m in spec["end_to_end"]}

@@ -126,6 +126,18 @@ def test_runtime_failures_exit_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--trials", "1"), "--trials"),
+    (("--trials", "0"), "--trials"),
+    (("--vectors", "0"), "--vectors"),
+])
+def test_nmae_rejects_unusable_counts(tmp_path, capsys, argv, flag):
+    code, out = _run(tmp_path, "nmae", *argv)
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not (out / "nmae.json").exists()
+
+
 def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -229,6 +229,10 @@ def test_input_validation():
         simulate_mvm(np.array([0.5, 1.5]), w, layout=LAY)
     with pytest.raises(DeviceModelError, match=r"weights must lie in \[-1, 1\]"):
         simulate_mvm(np.array([0.5, 0.5]), 2 * w, layout=LAY)
+    with pytest.raises(DeviceModelError, match=r"inputs must lie in \[0, 1\]"):
+        simulate_mvm(np.array([np.nan, 0.5]), w, layout=LAY)
+    with pytest.raises(DeviceModelError, match=r"weights must lie in \[-1, 1\]"):
+        simulate_mvm(np.array([0.5, 0.5]), np.array([[0.1, np.nan]]), layout=LAY)
     with pytest.raises(DeviceModelError, match="row mask"):
         simulate_mvm(np.array([0.5, 0.5]), w, row_mask=np.ones(3, bool),
                      layout=LAY)

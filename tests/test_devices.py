@@ -129,6 +129,8 @@ def test_weight_to_phase_rejects_out_of_range():
         weight_to_phase(1.0000001)
     with pytest.raises(DeviceModelError):
         weight_to_phase(np.array([0.2, -1.5]))
+    with pytest.raises(DeviceModelError):
+        weight_to_phase(np.array([0.2, np.nan]))
 
 
 @given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))

@@ -223,9 +223,10 @@ def test_combinations_capped_edge_cases():
 # ---------------------------------------------------------------------------
 
 def test_column_power_model_matches_chunk_power_sum():
-    """The fast column-mask evaluator must agree with summing the full
-    per-chunk power model (light-redistribution mode, output gating) over
-    all p*q chunks."""
+    """The column-mask model must agree with summing the per-chunk power
+    (its one-chunk case) over all p*q chunks, in every mode, with output
+    gating on and off, and for the uniform-phase estimate (weights=None,
+    which prices one chunk)."""
     arch = ArchConfig(R=2, C=2, k1=2, k2=4, r=2, c=1)
     rng = np.random.default_rng(11)
     w = rng.uniform(-1.0, 1.0, size=(7, 9))
@@ -235,16 +236,21 @@ def test_column_power_model_matches_chunk_power_sum():
     p, q = partition_dims(7, 9, arch)
     col = rng.random((p, q, arch.c, arch.k2)) < 0.6
 
-    model = ColumnPowerModel(row, w6, arch, DEV, LAY)
-    expected = 0.0
-    for pi in range(p):
-        for qi in range(q):
-            pb = chunk_power(arch, DEV, LAY, weights=wn6[pi, qi],
-                             row_mask=row, col_mask=col[pi, qi],
-                             mode=ExecutionMode.INPUT_GATING_LR,
-                             output_gating=True)
-            expected += pb.total_mw
-    assert model.power(col) == pytest.approx(expected, rel=1e-9)
+    cases = itertools.product(ExecutionMode, (True, False),
+                              ((wn6, col), (None, col[:1, :1])))
+    for mode, output_gating, (weights6, cols) in cases:
+        model = ColumnPowerModel(row, weights6, arch, DEV, LAY, mode=mode,
+                                 output_gating=output_gating)
+        expected = 0.0
+        for pi in range(cols.shape[0]):
+            for qi in range(cols.shape[1]):
+                pb = chunk_power(arch, DEV, LAY,
+                                 weights=None if weights6 is None else weights6[pi, qi],
+                                 row_mask=row, col_mask=cols[pi, qi],
+                                 mode=mode, output_gating=output_gating)
+                expected += pb.total_mw
+        assert model.power(cols) == pytest.approx(expected, rel=1e-9)
+        assert model.breakdown(cols).total_mw == pytest.approx(expected, rel=1e-9)
 
 
 def test_column_power_model_validation():
@@ -264,7 +270,7 @@ def test_mask_power_wires_model_and_mask_together():
     rng = np.random.default_rng(3)
     w6 = partition(rng.normal(size=(4, 4)), arch)
     mask = _mask_2x2()
-    model = ColumnPowerModel(mask.row, w6, arch, DEV, LAY)
+    model = ColumnPowerModel(mask.row, w6 / np.max(np.abs(w6)), arch, DEV, LAY)
     assert mask_power(mask, w6, arch, DEV, LAY) == model.power(mask.col)
     # pruning a column can only reduce modeled power
     fewer = mask.col.copy()

@@ -8,6 +8,7 @@ import pytest
 from ptcsim.config import SweepSpec, load_config
 from ptcsim.devices import DeviceParams
 from ptcsim.sweeps import (
+    _one_sided_z,
     format_cell,
     run_nmae_study,
     run_progressive,
@@ -168,6 +169,12 @@ def test_nmae_vanishes_for_quiet_well_separated_dense_design():
     assert dense_rows[0]["mean_nmae"] < 1e-3
 
 
+def test_one_sided_z_is_undefined_without_spread():
+    # equal differences have zero standard error: z is null, not infinite
+    comp = _one_sided_z(np.full(4, 0.5))
+    assert comp["se"] == 0.0 and comp["z"] is None
+
+
 # ---------------------------------------------------------------------------
 # single-product demo
 # ---------------------------------------------------------------------------
@@ -220,3 +227,5 @@ def test_write_json_sorted_and_newline_terminated(tmp_path):
     assert text.startswith('{\n  "a"')
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("}\n")
+    with pytest.raises(ValueError):
+        write_json(path, {"z": float("inf")})
