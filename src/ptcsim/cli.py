@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .config import Config, ConfigError, load_config, resolve_seed
 from .core import ExecutionMode, derive_rng
-from .data import load_dataset
+from .data import load_dataset, resolve_dataset
 from .devices import GammaFit
 from .layout import coupling_matrices
 from .nn import build_desk_convnet
@@ -206,6 +206,15 @@ def _cmd_simulate(args, cfg: Config, seed: int) -> int:
     return 0
 
 
+def _load_dataset(name: str, seed: int):
+    """(name actually loaded, data); says so on stderr when it differs."""
+    loaded = resolve_dataset(name)
+    if loaded != name:
+        print(f"note: dataset '{name}' needs scikit-learn, which is not "
+              f"installed; using '{loaded}' instead", file=sys.stderr)
+    return loaded, load_dataset(loaded, seed)
+
+
 def _cmd_train(args, cfg: Config, seed: int) -> int:
     density = args.density if args.density is not None else cfg.dst.density
     epochs = args.epochs if args.epochs is not None else cfg.dst.epochs
@@ -213,7 +222,7 @@ def _cmd_train(args, cfg: Config, seed: int) -> int:
         epochs, alpha0=cfg.dst.alpha0, t_end_frac=cfg.dst.t_end_frac,
         delta_m=cfg.dst.pool_margin,
         max_combinations=cfg.dst.max_combinations)
-    data = load_dataset(args.dataset, seed)
+    dataset, data = _load_dataset(args.dataset, seed)
     model, sparse_ids = build_desk_convnet(
         derive_rng(seed, 10), quant=(DESK_ARCH.b_w, DESK_ARCH.b_in))
     result = train(model, sparse_ids, data, s=density, schedule=schedule,
@@ -222,14 +231,14 @@ def _cmd_train(args, cfg: Config, seed: int) -> int:
                    batch_size=cfg.dst.batch_size, seed=seed,
                    meta={"model_kind": "desk_convnet",
                          "quant": [DESK_ARCH.b_w, DESK_ARCH.b_in],
-                         "dataset": args.dataset})
+                         "dataset": dataset})
     out = _out_dir(args)
     save_checkpoint(out / "checkpoint.json", result, DESK_ARCH, schedule)
     write_csv(out / "metrics.csv",
               ("epoch", "loss", "accuracy", "density", "power_w"),
               result.history)
     last = result.history[-1]
-    print(f"trained {epochs} epochs on '{args.dataset}': "
+    print(f"trained {epochs} epochs on '{dataset}': "
           f"accuracy = {last['accuracy']:.4f}, density = {last['density']:.4f}, "
           f"modeled P = {last['power_w']:.4f} W")
     print(f"checkpoint -> {out / 'checkpoint.json'}")
@@ -239,8 +248,8 @@ def _cmd_train(args, cfg: Config, seed: int) -> int:
 def _cmd_evaluate(args, cfg: Config, seed: int) -> int:
     model, sparse_ids, masks, arch, obj = load_checkpoint(args.checkpoint)
     meta = obj["meta"]
-    data = load_dataset(meta.get("dataset", "digits"), int(meta["seed"]))
-    _, _, x_test, y_test = data
+    _, (_, _, x_test, y_test) = _load_dataset(meta.get("dataset", "digits"),
+                                              int(meta["seed"]))
     res = evaluate_with_variation(
         model, masks, arch, cfg.device, cfg.layout, GammaFit(),
         mode=ExecutionMode.parse(args.mode), n_trials=args.trials, seed=seed,

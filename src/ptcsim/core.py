@@ -173,8 +173,14 @@ def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
     """Vectorized engine behind :func:`simulate_mvm`.
 
     ``w`` has shape (..., k1, k2) and ``x`` (..., k2, n); leading dimensions
-    batch independent cores that share one RNG stream.  Phase noise is drawn
-    once per core mapping, detector noise once per node and input vector.
+    batch independent cores that share one RNG stream.  Crosstalk is
+    computed over the broadcast leading dimensions of ``w`` and the two
+    masks only, so a mapping shared by many cores is perturbed once.
+    Phase noise is drawn once per core, over the broadcast leading
+    dimensions of ``x``, ``w`` and both masks, and shared by the n vectors
+    on ``x``'s last axis.  Detector noise is one N(0, sigma_pd*sqrt(k2))
+    draw per output and vector: the k2 nodes' independent N(0, sigma_pd)
+    photocurrent noises summed along the output column.
     ``coupling_free=True`` skips thermal crosstalk (used for layers mapped
     on deliberately isolated columns).
     """
@@ -188,6 +194,8 @@ def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
     if not isinstance(rng, np.random.Generator):
         rng = derive_rng(0 if rng is None else rng)
     k1, k2 = w.shape[-2], w.shape[-1]
+    cores = np.broadcast_shapes(x.shape[:-2], w.shape[:-2], row.shape[:-1],
+                                col.shape[:-1])
 
     phases = weight_to_phase(np.where(row[..., :, None] & col[..., None, :], w, 0.0))
     if coupling_free:
@@ -195,7 +203,8 @@ def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
     else:
         realized = perturbed_phases_gated(phases, row, col, layout, fit)
     if params.phase_noise_sigma_rad > 0:
-        realized = realized + rng.normal(0.0, params.phase_noise_sigma_rad, size=realized.shape)
+        realized = realized + rng.normal(0.0, params.phase_noise_sigma_rad,
+                                         size=cores + (k1, k2))
     w_eff = phase_to_weight(realized)
 
     # Extinction-ratio floor: a powered-off weight cannot sit closer to zero
@@ -217,10 +226,7 @@ def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
 
     y = w_eff @ x_eff
     if params.pd_noise_sigma > 0:
-        n_vec = x_eff.shape[-1]
-        noise = rng.normal(0.0, params.pd_noise_sigma,
-                           size=y.shape[:-2] + (k1, k2, n_vec))
-        y = y + noise.sum(axis=-2)
+        y = y + rng.normal(0.0, params.pd_noise_sigma * math.sqrt(k2), size=y.shape)
     if mode.redistributes:
         y = y * (np.asarray(k2_alive, dtype=float) / k2)[..., None, None]
     if output_gating:

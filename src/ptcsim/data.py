@@ -51,6 +51,19 @@ def synthetic_separable(n: int = 400, dim: int = 16, classes: int = 2,
     return x, y.astype(np.int64)
 
 
+def resolve_dataset(name: str) -> str:
+    """The dataset :func:`load_dataset` returns for ``name``.
+
+    ``digits`` needs scikit-learn; without it ``blobs`` is loaded instead.
+    """
+    if name == "digits":
+        try:
+            import sklearn.datasets  # noqa: F401
+        except ImportError:
+            return "blobs"
+    return name
+
+
 def load_dataset(name: str, seed: int = 0
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(x_train, y_train, x_test, y_test) for a named dataset.
@@ -58,19 +71,18 @@ def load_dataset(name: str, seed: int = 0
     ``digits``: scikit-learn's 1797 8x8 grayscale digits, pixel values
     divided by 16, deterministic 1500/297 split.  ``blobs``: the synthetic
     image set above, 80/20 split.  Image tensors are (N, 1, 8, 8).
+    Without scikit-learn, ``digits`` gives ``blobs`` (see
+    :func:`resolve_dataset`).
     """
+    name = resolve_dataset(name)
     if name == "digits":
-        try:
-            from sklearn.datasets import load_digits
-        except ImportError:  # pragma: no cover - exercised only without sklearn
-            name = "blobs"
-        else:
-            bunch = load_digits()
-            x = (bunch.images / 16.0)[:, None, :, :]
-            y = bunch.target.astype(np.int64)
-            perm = derive_rng(seed, 22).permutation(len(y))
-            x, y = x[perm], y[perm]
-            return x[:1500], y[:1500], x[1500:], y[1500:]
+        from sklearn.datasets import load_digits
+        bunch = load_digits()
+        x = (bunch.images / 16.0)[:, None, :, :]
+        y = bunch.target.astype(np.int64)
+        perm = derive_rng(seed, 22).permutation(len(y))
+        x, y = x[perm], y[perm]
+        return x[:1500], y[:1500], x[1500:], y[1500:]
     if name == "blobs":
         x, y = synthetic_images(seed=seed)
         cut = int(0.8 * len(y))

@@ -290,7 +290,9 @@ def _nmae_block(w6: np.ndarray, x: np.ndarray, row: np.ndarray,
 
     ``x`` is (S, q, c, k2, m); ``col`` is (S, q, c, k2) or None for dense.
     The layer output accumulates over input chunks (q) and photocurrent-
-    summed cores (c); the reference is the exact masked product.
+    summed cores (c); the reference is the exact masked product.  Dense
+    columns get a mask without a seed axis, so every seed shares one
+    crosstalk pass while still drawing its own noise.
     """
     s_n, q = x.shape[0], x.shape[1]
     p = w6.shape[0]
@@ -298,7 +300,7 @@ def _nmae_block(w6: np.ndarray, x: np.ndarray, row: np.ndarray,
     m = x.shape[-1]
 
     x_arg = x[:, None, :, None]                    # (S,1,q,1,c,k2,m)
-    col_b = (np.ones((s_n, q, c, k2), dtype=bool) if col is None
+    col_b = (np.ones((1, q, c, k2), dtype=bool) if col is None
              else np.asarray(col, dtype=bool))
     # Align the (r, k1) row mask explicitly: (r, 1, k1) broadcasts onto the
     # (..., r, c, k1) axes; a bare (r, k1) would land on (c, k1).

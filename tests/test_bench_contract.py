@@ -2,8 +2,8 @@
 
 ``bench/run.py`` ends its output with one JSON line that the benchmark's
 driver parses.  This runs the shortest workload once untraced and once
-traced and checks that line, so a change to the program that breaks it
-fails here first.  The benchmark's files are read, never edited.
+traced, and the noisy-MVM workload once untraced, and checks that line,
+so a change to the program that breaks it fails here first.  The benchmark's files are read, never edited.
 """
 
 import json
@@ -20,10 +20,9 @@ def _reject(token):
     raise ValueError(f"non-strict JSON constant {token}")
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_bench_run_ends_with_strict_json(trace):
+def _check_last_line(workload, trace):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "design_walk",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -36,3 +35,13 @@ def test_bench_run_ends_with_strict_json(trace):
     if trace == 0:
         spec = json.loads((ROOT / "BENCHMARK.json").read_text())
         assert set(result["metrics"]) == {m["name"] for m in spec["end_to_end"]}
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_bench_run_ends_with_strict_json(trace):
+    _check_last_line("design_walk", trace)
+
+
+def test_fidelity_study_ends_with_strict_json():
+    # One round of the noisy-MVM workload (about 5 s), untraced.
+    _check_last_line("fidelity_study", 0)

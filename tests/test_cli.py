@@ -107,6 +107,26 @@ def test_train_then_evaluate_roundtrip(tmp_path, capsys):
     assert "clean accuracy" in capsys.readouterr().out
 
 
+def test_train_records_the_dataset_it_loaded(tmp_path, capsys):
+    try:
+        import sklearn.datasets  # noqa: F401
+        loaded = "digits"
+    except ImportError:
+        loaded = "blobs"
+    code, out = _run(tmp_path, "train", "--epochs", "1")  # default: digits
+    assert code == 0
+    meta = json.loads((out / "checkpoint.json").read_text())["meta"]
+    assert meta["dataset"] == loaded
+    captured = capsys.readouterr()
+    assert f"trained 1 epochs on '{loaded}'" in captured.out
+    if loaded == "digits":
+        assert captured.err == ""
+    else:
+        notes = captured.err.splitlines()
+        assert len(notes) == 1
+        assert "scikit-learn" in notes[0] and "'blobs'" in notes[0]
+
+
 def test_bad_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

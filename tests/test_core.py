@@ -194,6 +194,46 @@ def test_pd_noise_sigma_scales_with_rescaled_readout():
                                        rel=0.05)
 
 
+def test_detector_noise_is_one_draw_per_output():
+    # Zero weights leave pure detector noise: sigma_pd * sqrt(k2) per
+    # output, times k2'/k2 under light redistribution, across a batch of
+    # (seeds, cores) whose cores each carry their own column mask.
+    k1, k2, n_seeds, n_vec = 4, 8, 600, 8
+    dev = DeviceParams(phase_noise_sigma_rad=0.0)
+    w = np.zeros((4, k1, k2))                      # four cores
+    x = np.full((n_seeds, 4, k2, n_vec), 0.5)
+    row = np.array([True, True, False, True])
+    col = np.zeros((4, k2), dtype=bool)
+    for i, alive in enumerate((2, 4, 6, 8)):
+        col[i, :alive] = True
+    base = dev.pd_noise_sigma * math.sqrt(k2)
+    for i, mode in enumerate((ExecutionMode.PRUNE_ONLY,
+                              ExecutionMode.INPUT_GATING_LR)):
+        y = simulate_mvm_batch(x, w, row, col, mode, LAY, dev,
+                               rng=derive_rng(42, i))
+        assert y.shape == (n_seeds, 4, k1, n_vec)
+        assert np.all(y[:, :, ~row] == 0.0)
+        sd = y[:, :, row].std(axis=(0, 3))          # (cores, live rows)
+        gain = (col.sum(axis=1) / k2 if mode.redistributes
+                else np.ones(4))
+        assert sd == pytest.approx(np.repeat(base * gain[:, None], 3, axis=1),
+                                   rel=0.06)
+
+
+def test_phase_noise_is_drawn_per_batch_entry():
+    # One mapping, three leading batch entries of x: each entry draws its
+    # own phase noise, shared by the vectors on x's last axis.
+    dev = DeviceParams(pd_noise_sigma=0.0, phase_noise_sigma_rad=0.05)
+    w = np.array([[0.4]])
+    x = np.broadcast_to(np.array([[0.9, 0.3]]), (3, 1, 2))
+    y = simulate_mvm_batch(x, w, np.ones(1, bool), np.ones(1, bool),
+                           ExecutionMode.PRUNE_ONLY, LAY, dev,
+                           rng=derive_rng(9), coupling_free=True)
+    gain = y[:, 0, :] / x[:, 0, :]                  # (batch, vectors)
+    assert gain[:, 0] == pytest.approx(gain[:, 1], rel=1e-12)
+    assert len(set(gain[:, 0].tolist())) == 3
+
+
 def test_phase_noise_is_drawn_once_per_mapping():
     dev = DeviceParams(pd_noise_sigma=0.0, phase_noise_sigma_rad=0.05)
     w = np.array([[0.4]])
