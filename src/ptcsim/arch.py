@@ -28,7 +28,7 @@ from .devices import (
     mzi_power,
     weight_to_phase,
 )
-from .core import ExecutionMode, rerouter_configure
+from .core import ExecutionMode, rerouter_node_mw, rerouter_tree_mw
 from .layout import LayoutParams
 
 # Expected |phase| of a weight MZI when weights are uniform on [-1, 1]:
@@ -191,9 +191,9 @@ class ColumnPowerModel:
     mode keeps on whatever the columns), a per-column term ``col_unit_mw``
     (heater MZIs over live rows, plus modulator+DAC when the mode gates
     inputs, plus detectors when it redistributes light) and, under
-    redistribution, one rerouter term per (chunk, input module).  Rerouter
-    evaluations are memoized by bit pattern, which is what makes
-    combination search affordable.
+    redistribution, one rerouter term per (chunk, input module): the
+    splitter-node table ``node_mw`` summed over that module's tree
+    (``node_mw`` is None when the mode does not redistribute).
     """
 
     def __init__(self, row_mask, weights6, arch: ArchConfig,
@@ -214,8 +214,8 @@ class ColumnPowerModel:
         if row.shape != (r, k1) or (r, c, k1, k2) != (arch.r, arch.c, arch.k1, arch.k2):
             raise DeviceModelError("mask/weight shapes disagree with the arch config")
         self._shape = (p, q, c, k2)
-        self._rerouter_args = (layout.l_s_um, device, fit)
-        self._redistributes = mode.redistributes
+        self.node_mw = (rerouter_node_mw(k2, layout.l_s_um, device, fit)
+                        if mode.redistributes else None)
         unit = mzi_power(phase, layout.l_s_um, device, fit)
         self._col_mzi_mw = (unit * row[None, None, :, None, :, None]).sum(axis=(2, 4))
 
@@ -234,39 +234,23 @@ class ColumnPowerModel:
         self.const_mw = self._readout_mw + self._input_const_mw + self._pd_const_mw
         self.col_unit_mw = self._col_mzi_mw + self._col_input_mw + self._col_pd_mw
 
-        self._rerouter_cache: dict[bytes, float] = {}
-
-    def _check(self, col_mask) -> np.ndarray:
+    def check_mask(self, col_mask) -> np.ndarray:
+        """``col_mask`` as booleans, rejected unless it is (p, q, c, k2)."""
         col = np.asarray(col_mask, dtype=bool)
         if col.shape != self._shape:
             raise DeviceModelError(f"column mask must be {self._shape}")
         return col
 
-    def _rerouter_mw(self, pattern: np.ndarray) -> float:
-        key = np.packbits(pattern).tobytes()
-        hit = self._rerouter_cache.get(key)
-        if hit is None:
-            hit = rerouter_configure(pattern, *self._rerouter_args).total_power_mw
-            self._rerouter_cache[key] = hit
-        return hit
-
     def power(self, col_mask) -> float:
         """Layer power (mW) summed over all p*q chunk mappings."""
-        col = self._check(col_mask)
-        total = self.const_mw + float((col * self.col_unit_mw).sum())
-        if self._redistributes:
-            # One by one in (p, q, c) order: exact ties between masks
-            # depend on this sum order.
-            for pattern in col.reshape(-1, col.shape[-1]):
-                total += self._rerouter_mw(pattern)
-        return total
+        return self.breakdown(col_mask).total_mw
 
     def breakdown(self, col_mask) -> PowerBreakdown:
         """The same power split by device group, summed over all chunks."""
-        col = self._check(col_mask)
+        col = self.check_mask(col_mask)
         n_live = int(col.sum())
-        rerouter_mw = (sum(self._rerouter_mw(m) for m in col.reshape(-1, col.shape[-1]))
-                       if self._redistributes else 0.0)
+        rerouter_mw = (0.0 if self.node_mw is None
+                       else float(rerouter_tree_mw(col, self.node_mw).sum()))
         return PowerBreakdown(
             self._input_const_mw + n_live * self._col_input_mw,
             float((col * self._col_mzi_mw).sum()) + self._pd_const_mw

@@ -93,6 +93,52 @@ class RerouterState:
     total_power_mw: float
 
 
+def tree_leaves(k2: int) -> int:
+    """Leaf count of the splitter tree serving ``k2`` ports: the next power
+    of two, the extra leaves being permanently pruned dummies."""
+    return 1 << (k2 - 1).bit_length()
+
+
+def _split_phase(up: int, lo: int) -> float:
+    """Node phase realizing the split up:(up+lo); a dead subtree (up + lo = 0)
+    leaves the splitter at its zero-power balanced point."""
+    if up + lo == 0:
+        return 0.0
+    return 2.0 * math.acos(math.sqrt(up / (up + lo))) - math.pi / 2
+
+
+def rerouter_node_mw(k2: int, arm_spacing_um: float = 9.0,
+                     params: DeviceParams = DeviceParams(),
+                     fit: GammaFit = GammaFit()) -> np.ndarray:
+    """Heater power (mW) of one splitter node of a ``k2``-port rerouter.
+
+    ``node_mw[u, l]`` is the power of a node with u unpruned leaves under
+    its upper subtree and l under its lower one (0 <= u, l <= n/2, n =
+    :func:`tree_leaves`).  A node's power depends on nothing else, so a
+    configured tree's power is this table summed over its nodes.
+    """
+    if k2 < 1:
+        raise DeviceModelError("a rerouter needs at least one port")
+    half = tree_leaves(k2) // 2
+    phases = [[abs(_split_phase(u, lo)) for lo in range(half + 1)]
+              for u in range(half + 1)]
+    return mzi_power(np.asarray(phases), arm_spacing_um, params, fit)
+
+
+def rerouter_tree_mw(col_mask, node_mw) -> np.ndarray:
+    """Rerouter power (mW) of each (..., k2) column pattern: ``node_mw``
+    (from :func:`rerouter_node_mw`) summed over the tree, level by level."""
+    col = np.asarray(col_mask, dtype=bool)
+    counts = np.zeros(col.shape[:-1] + (tree_leaves(col.shape[-1]),), dtype=np.intp)
+    counts[..., :col.shape[-1]] = col
+    total = np.zeros(col.shape[:-1])
+    while counts.shape[-1] > 1:
+        up, lo = counts[..., 0::2], counts[..., 1::2]
+        total += node_mw[up, lo].sum(axis=-1)
+        counts = up + lo
+    return total
+
+
 def rerouter_configure(col_mask, arm_spacing_um: float = 9.0,
                        params: DeviceParams = DeviceParams(),
                        fit: GammaFit = GammaFit()) -> RerouterState:
@@ -102,12 +148,13 @@ def rerouter_configure(col_mask, arm_spacing_um: float = 9.0,
     under its upper vs. lower subtree; the phase that realizes a ratio
     u:(u+l) is 2*arccos(sqrt(u/(u+l))) - pi/2, and a dead subtree (u+l = 0)
     leaves the splitter at its zero-power balanced point.  Non-power-of-two
-    port counts are padded with permanently pruned dummy leaves.
+    port counts are padded with permanently pruned dummy leaves.  The power
+    is read from :func:`rerouter_node_mw`.
     """
     mask = [1 if m else 0 for m in np.asarray(col_mask).ravel().tolist()]
     if len(mask) == 0:
         raise DeviceModelError("column mask must be non-empty")
-    n = 1 << (len(mask) - 1).bit_length()  # next power of two
+    n = tree_leaves(len(mask))
     padded = mask + [0] * (n - len(mask))
 
     # Leaf counts percolate up the heap: counts[i] = unpruned leaves below.
@@ -115,14 +162,8 @@ def rerouter_configure(col_mask, arm_spacing_um: float = 9.0,
     for i in range(n - 2, -1, -1):
         counts[i] = counts[2 * i + 1] + counts[2 * i + 2]
 
-    phases, ratios = [], []
-    for i in range(n - 1):
-        up, lo = counts[2 * i + 1], counts[2 * i + 2]
-        ratios.append((up, lo))
-        if up + lo == 0:
-            phases.append(0.0)
-        else:
-            phases.append(2.0 * math.acos(math.sqrt(up / (up + lo))) - math.pi / 2)
+    ratios = [(counts[2 * i + 1], counts[2 * i + 2]) for i in range(n - 1)]
+    phases = [_split_phase(up, lo) for up, lo in ratios]
 
     # Intensity propagation from the root (unit input).
     intens = [0.0] * (2 * n - 1)
@@ -134,13 +175,14 @@ def rerouter_configure(col_mask, arm_spacing_um: float = 9.0,
         intens[2 * i + 1] = intens[i] * frac_up
         intens[2 * i + 2] = intens[i] * (1.0 - frac_up)
 
-    power = float(np.sum(mzi_power(np.abs(np.asarray(phases)), arm_spacing_um, params, fit))) if phases else 0.0
+    node_mw = rerouter_node_mw(len(mask), arm_spacing_um, params, fit)
+    ups, los = np.asarray(ratios, dtype=np.intp).reshape(-1, 2).T
     return RerouterState(
         col_mask=tuple(mask),
         node_phases_rad=tuple(phases),
         node_ratios=tuple(ratios),
         leaf_intensities=tuple(intens[n - 1:n - 1 + len(mask)]),
-        total_power_mw=power,
+        total_power_mw=float(np.sum(node_mw[ups, los])),
     )
 
 

@@ -9,15 +9,21 @@ two granularities:
   with an interleaved pattern and shared by every chunk (interleaving keeps
   unpruned rows apart, which is what lets output gating cancel crosstalk);
 * one **column mask** per chunk over the (c, k2) input columns, explored
-  during training by a prune/grow cycle that scores candidate column sets
-  by modeled on-chip power (input channels, weight devices, detectors and
-  the splitter-tree rerouter all respond to which columns are on).
+  during training by a prune/grow cycle that picks columns by modeled
+  on-chip power (input channels, weight devices, detectors and the
+  splitter-tree rerouter all respond to which columns are on).
 
-Column selection enumerates combinations from a small candidate pool
-(smallest weight norm for pruning, largest gradient norm for growth) and
-keeps the cheapest; enumeration is capped with a deterministic
-lexicographically-spread sample so results never depend on timing or
-thread count.
+Column selection is exact: among all ways of switching ``n_select``
+columns of a candidate pool (smallest weight norm for pruning, largest
+gradient norm for growth; every usable column at initialization), it
+returns one of lowest modeled power, with no cap on the search.  A
+rerouter node's power depends only on how many live leaves sit under each
+of its two subtrees, so a dynamic program over each input module's
+splitter tree and then across modules finds the optimum in O(k2^2) per
+module.  Ties go to the lowest column indices: among choices whose power
+agrees to 1e-13 relative (sums taken in another order differ in the last
+bits), the one whose sorted flat column ids are lexicographically smallest
+wins, so results never depend on timing or thread count.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import ArchConfig, ColumnPowerModel
+from .core import tree_leaves
 from .devices import DeviceModelError, DeviceParams, GammaFit
 from .layout import LayoutParams
 
@@ -157,7 +164,6 @@ class DstSchedule:
     delta_t: int = 1          # epochs between mask updates
     t_end: int = 32           # epoch at which exploration stops
     delta_m: int = 2          # extra candidates beyond the required count
-    max_combinations: int = 10000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha0 <= 1.0:
@@ -166,18 +172,15 @@ class DstSchedule:
             raise DeviceModelError("delta_t and t_end must be >= 1")
         if self.delta_m < 0:
             raise DeviceModelError("delta_m must be >= 0")
-        if self.max_combinations < 1:
-            raise DeviceModelError("max_combinations must be >= 1")
 
     @classmethod
     def for_epochs(cls, epochs: int, alpha0: float = 0.5,
-                   t_end_frac: float = 0.8, delta_m: int = 2,
-                   max_combinations: int = 10000) -> "DstSchedule":
+                   t_end_frac: float = 0.8, delta_m: int = 2) -> "DstSchedule":
         if epochs < 1:
             raise DeviceModelError("epochs must be >= 1")
         return cls(alpha0=alpha0, delta_t=1,
                    t_end=max(1, round_half_up(t_end_frac * epochs)),
-                   delta_m=delta_m, max_combinations=max_combinations)
+                   delta_m=delta_m)
 
     def death_rate(self, t: int) -> float:
         """alpha(t) = (alpha0/2)(1 + cos(t*pi/t_end)), zero from t_end on."""
@@ -251,40 +254,171 @@ def mask_power(mask: SparsityMask, weights6, arch: ArchConfig,
 
 @dataclass(frozen=True)
 class SelectionResult:
-    chosen: tuple[int, ...]     # flat indices into col.reshape(-1)
-    power_mw: float
-    n_evaluated: int
+    chosen: tuple[int, ...]     # flat indices into col.reshape(-1), ascending
+    power_mw: float             # the model's power of the chosen mask
+    n_evaluated: int            # DP cells filled (see select_columns_min_power)
+
+
+# Relative gap below which two choices' powers count as tied.
+_TIE_RTOL = 1e-13
 
 
 def select_columns_min_power(model: ColumnPowerModel, col_mask, pool,
-                             n_select: int, turn_on: bool, cap: int,
-                             ensure: tuple[tuple[int, ...], ...] = ()) -> SelectionResult:
-    """Pick ``n_select`` columns from ``pool`` (flat ids) minimizing power.
+                             n_select: int, turn_on: bool,
+                             padded_col=None) -> SelectionResult:
+    """Switch ``n_select`` columns of ``pool`` (flat ids into ``col_mask``)
+    to ``turn_on``, choosing the set of lowest ``model.power``.
 
-    Each candidate combination is applied to a copy of ``col_mask`` (set to
-    ``turn_on``) and scored with the power model; ties go to the earlier
-    combination, and lexicographic enumeration order makes that "lowest
-    column index wins".  ``ensure`` prepends specific combinations (e.g. an
-    incumbent selection) so they are always among those evaluated.
+    The search is exact.  Per input module (p, q, c), a bottom-up pass over
+    its splitter tree, padded to a power of two with always-dead leaves,
+    gives the lowest additive-plus-rerouter power for each count j of pool
+    columns switched inside it; a pool column is a free leaf and every
+    other column keeps its current state.  A min-plus pass across the
+    modules that hold pool columns then gives the layer optimum, and a
+    backtrack recovers the columns, taking the lowest column indices on
+    ties (see the module docstring).  ``n_evaluated`` counts the DP cells
+    filled: one per (tree node, feasible j) in those modules, and one per
+    (module suffix, feasible j <= n_select) across them.  ``power_mw`` is
+    one ``model.power`` call on the chosen mask.
+
+    Rejected: a negative ``n_select`` or one larger than the pool,
+    duplicate or out-of-range pool ids, pool columns flagged in
+    ``padded_col`` (zero padding, broadcast against the mask), and pool
+    columns already in the ``turn_on`` state.
     """
-    pool = [int(i) for i in pool]
-    if n_select > len(pool):
+    col = model.check_mask(col_mask)
+    flat = col.reshape(-1)
+    ids = np.array([int(i) for i in pool], dtype=np.intp)
+    if n_select < 0:
+        raise DeviceModelError(f"n_select must be >= 0, got {n_select}")
+    if n_select > ids.size:
         raise DeviceModelError("cannot select more columns than the pool holds")
-    col = np.asarray(col_mask, dtype=bool)
-    candidates: list[tuple[int, ...]] = [tuple(int(i) for i in combo) for combo in ensure]
-    for combo in combinations_capped(len(pool), n_select, cap):
-        candidates.append(tuple(pool[i] for i in combo))
-    best: tuple[float, int] | None = None
-    best_combo: tuple[int, ...] = ()
-    for idx, ids in enumerate(candidates):
-        trial = col.reshape(-1).copy()
-        trial[list(ids)] = turn_on
-        pw = model.power(trial.reshape(col.shape))
-        key = (pw, idx)
-        if best is None or key < best:
-            best = key
-            best_combo = ids
-    return SelectionResult(tuple(sorted(best_combo)), best[0], len(candidates))
+    if np.unique(ids).size != ids.size:
+        raise DeviceModelError("pool ids must be distinct")
+    if ids.size and not (0 <= ids.min() and ids.max() < flat.size):
+        raise DeviceModelError(f"pool ids must lie in [0, {flat.size})")
+    if padded_col is not None and np.broadcast_to(
+            np.asarray(padded_col, dtype=bool), col.shape).reshape(-1)[ids].any():
+        raise DeviceModelError("padding columns cannot be in the pool")
+    if (flat[ids] == turn_on).any():
+        raise DeviceModelError(
+            f"pool columns must all be {'off' if turn_on else 'on'} to be switched")
+
+    k2 = col.shape[-1]
+    in_pool = np.zeros(flat.size, dtype=bool)
+    in_pool[ids] = True
+    in_pool = in_pool.reshape(-1, k2)
+    # Modules without pool columns cost the same whatever is chosen.
+    mods = np.flatnonzero(in_pool.any(axis=1))
+    chosen, n_evaluated = _tree_dp(
+        in_pool[mods], flat.reshape(-1, k2)[mods],
+        model.col_unit_mw.reshape(-1, k2)[mods], model.node_mw,
+        n_select, turn_on)
+    flat_ids = tuple(int(mods[m]) * k2 + leaf for m, leaf in chosen)
+    trial = flat.copy()
+    trial[list(flat_ids)] = turn_on
+    return SelectionResult(flat_ids, model.power(trial.reshape(col.shape)),
+                           n_evaluated)
+
+
+def _tree_dp(free, live, unit_mw, node_mw, n_select: int, turn_on: bool):
+    """Exact core of :func:`select_columns_min_power` on (M, k2) modules.
+
+    ``free`` flags pool leaves, ``live`` the current column state and
+    ``unit_mw`` each column's additive power; ``node_mw`` is the splitter
+    table (None without redistribution).  Returns the chosen (module,
+    leaf) pairs in ascending order and the number of DP cells filled.
+    """
+    n_mod, k2 = free.shape
+    n = tree_leaves(k2)
+    sign = 1 if turn_on else -1
+
+    def widen(a, fill):
+        out = np.full((n_mod, n), fill, dtype=a.dtype)
+        out[:, :k2] = a
+        return out
+
+    free, live, unit_mw = widen(free, False), widen(live, False), widen(unit_mw, 0.0)
+    # Level 0: a leaf's power with j = 0 or 1 of its pool columns switched.
+    cost = np.stack([np.where(live, unit_mw, 0.0),
+                     np.where(free, np.where(live, 0.0, unit_mw), np.inf)], axis=-1)
+    # levels[h] = (cost, live0) for subtrees of 2**h leaves: cost[m, t, j] is
+    # the subtree's lowest power with j pool columns switched, live0 its
+    # live-leaf count with none switched (with j switched: live0 + sign*j).
+    levels = [(cost, live.astype(np.intp))]
+    size = 1
+    while size < n:
+        cost, live0 = levels[-1]
+        j = np.arange(size + 1)
+        pair = cost[:, 0::2, :, None] + cost[:, 1::2, None, :]
+        if node_mw is not None:
+            up = np.clip(live0[:, 0::2, None] + sign * j, 0, size)
+            lo = np.clip(live0[:, 1::2, None] + sign * j, 0, size)
+            pair = pair + node_mw[up[..., :, None], lo[..., None, :]]
+        merged = np.full(pair.shape[:2] + (2 * size + 1,), np.inf)
+        for a in range(size + 1):
+            np.minimum(merged[..., a:a + size + 1], pair[..., a, :],
+                       out=merged[..., a:a + size + 1])
+        levels.append((merged, live0[:, 0::2] + live0[:, 1::2]))
+        size *= 2
+
+    root = levels[-1][0][:, 0, :n_select + 1]
+    # suffix[m][j]: lowest power of modules m.. with j columns switched.
+    suffix = [np.full(n_select + 1, np.inf) for _ in range(n_mod + 1)]
+    suffix[n_mod][0] = 0.0
+    for m in range(n_mod - 1, -1, -1):
+        for a in range(root.shape[1]):
+            np.minimum(suffix[m][a:], root[m, a] + suffix[m + 1][:n_select + 1 - a],
+                       out=suffix[m][a:])
+    n_evaluated = int(sum(np.isfinite(c).sum() for c, _ in levels[1:])
+                      + sum(np.isfinite(g).sum() for g in suffix[:n_mod]))
+
+    # Backtrack on Python floats, which add exactly as the arrays did.
+    cost_py = [c.tolist() for c, _ in levels]
+    live_py = [lv.tolist() for _, lv in levels]
+    node_py = None if node_mw is None else node_mw.tolist()
+    tol = _TIE_RTOL * float(suffix[0][n_select])
+    memo: dict = {}
+
+    def lowest(cands):
+        # Among (leaves, count) choices, the one with the lowest column
+        # indices: compare leaf tuples, a longer tuple winning past the end.
+        return min(cands, key=lambda c: c[0] + (n,))
+
+    def pick(m, h, t, j):
+        """Lowest-index optimal leaves under node t of level h, j switched."""
+        key = (m, h, t, j)
+        if key not in memo:
+            if h == 0:
+                memo[key] = (t,) if j else ()
+            else:
+                half = 1 << (h - 1)
+                below = cost_py[h - 1][m]
+                target = cost_py[h][m][t][j] + tol
+                cands = []
+                for a in range(max(0, j - half), min(j, half) + 1):
+                    val = below[2 * t][a] + below[2 * t + 1][j - a]
+                    if node_py is not None:
+                        lv = live_py[h - 1][m]
+                        up = min(max(lv[2 * t] + sign * a, 0), half)
+                        lo = min(max(lv[2 * t + 1] + sign * (j - a), 0), half)
+                        val = val + node_py[up][lo]
+                    if val <= target:
+                        cands.append((pick(m, h - 1, 2 * t, a), a))
+                upper, a = lowest(cands)
+                memo[key] = upper + pick(m, h - 1, 2 * t + 1, j - a)
+        return memo[key]
+
+    chosen, j = [], n_select
+    top = len(levels) - 1
+    for m in range(n_mod):
+        target = float(suffix[m][j]) + tol
+        cands = [(pick(m, top, 0, a), a) for a in range(min(j, n) + 1)
+                 if cost_py[top][m][0][a] + float(suffix[m + 1][j - a]) <= target]
+        leaves, a = lowest(cands)
+        chosen += [(m, leaf) for leaf in leaves]
+        j -= a
+    return chosen, n_evaluated
 
 
 def _column_target(s: float, mask_shape6, row_ones: int) -> int:
@@ -295,14 +429,13 @@ def _column_target(s: float, mask_shape6, row_ones: int) -> int:
 
 def init_masks(s: float, c_out: int, fan_in: int, arch: ArchConfig,
                weights2d, device: DeviceParams, layout: LayoutParams,
-               fit: GammaFit = GammaFit(),
-               max_combinations: int = 10000) -> SparsityMask:
+               fit: GammaFit = GammaFit()) -> SparsityMask:
     """Initial masks for one layer at target density ``s``.
 
     Rows: density max(s, 0.5), interleaved zeros.  Columns: the remaining
-    density s / s_row, selecting the kept set to minimize modeled power
-    among enumerated (capped) combinations.  Padding columns introduced by
-    the chunk grid start pruned and stay pruned.
+    density s / s_row, the kept set being the one of lowest modeled power
+    (:func:`select_columns_min_power`).  Padding columns introduced by the
+    chunk grid start pruned and stay pruned.
     """
     if not 0.0 < s <= 1.0:
         raise DeviceModelError(f"target density must be in (0, 1], got {s}")
@@ -323,7 +456,7 @@ def init_masks(s: float, c_out: int, fan_in: int, arch: ArchConfig,
         model = _objective(row, w6, arch, device, layout, fit)
         empty = np.zeros_like(col)
         sel = select_columns_min_power(model, empty, usable, n_keep,
-                                       turn_on=True, cap=max_combinations)
+                                       turn_on=True, padded_col=pad)
         col = empty.reshape(-1)
         col[list(sel.chosen)] = True
         col = col.reshape(p, q, arch.c, arch.k2)
@@ -335,7 +468,7 @@ class MaskUpdateInfo:
     alpha: float
     n_changed: int
     power_mw: float          # modeled layer power after the update
-    n_evaluated: int         # combinations scored (0 for a no-op)
+    n_evaluated: int         # DP cells filled (0 for a no-op)
 
 
 def prune_step(mask: SparsityMask, weights6, schedule: DstSchedule, t: int,
@@ -363,8 +496,8 @@ def prune_step(mask: SparsityMask, weights6, schedule: DstSchedule, t: int,
     norms = np.sqrt((w6 ** 2).sum(axis=(2, 4))).reshape(-1)[alive]
     pool_n = min(n_c + schedule.delta_m, len(alive))
     pool = alive[np.lexsort((alive, norms))][:pool_n]
-    sel = select_columns_min_power(model, mask.col, pool, n_c,
-                                   turn_on=False, cap=schedule.max_combinations)
+    sel = select_columns_min_power(model, mask.col, pool, n_c, turn_on=False,
+                                   padded_col=mask.padded_col)
     new_col = mask.col.reshape(-1).copy()
     new_col[list(sel.chosen)] = False
     out = mask.with_col(new_col.reshape(mask.col.shape))
@@ -402,8 +535,8 @@ def grow_step(mask: SparsityMask, gradients6, weights6, s: float,
     gnorm = np.sqrt((g6 ** 2 * row6).sum(axis=(2, 4))).reshape(-1)[dead]
     pool_n = min(n_c + schedule.delta_m, len(dead))
     pool = dead[np.lexsort((dead, -gnorm))][:pool_n]
-    sel = select_columns_min_power(model, mask.col, pool, n_c,
-                                   turn_on=True, cap=schedule.max_combinations)
+    sel = select_columns_min_power(model, mask.col, pool, n_c, turn_on=True,
+                                   padded_col=mask.padded_col)
     new_col = mask.col.reshape(-1).copy()
     new_col[list(sel.chosen)] = True
     out = mask.with_col(new_col.reshape(mask.col.shape))

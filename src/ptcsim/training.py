@@ -197,8 +197,7 @@ def train(model: Sequential, sparse_layers: list[int], data: tuple,
     for idx in sparse_layers:
         layer = model.layers[idx]
         mask = init_masks(s, layer.w.shape[0], layer.w.shape[1], arch,
-                          layer.w, device, layout, fit,
-                          schedule.max_combinations)
+                          layer.w, device, layout, fit)
         masks[idx] = mask
         dense_m[idx] = mask.to_dense(*layer.w.shape)
         usable = mask.col.size - mask.col.shape[0] * int(mask.padded_col.sum())

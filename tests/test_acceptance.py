@@ -228,7 +228,7 @@ def test_criterion_09_sparse_training_invariants():
                                    DeviceParams(), LAY)
         empty = np.zeros((1, 2, 1, 4), dtype=bool)
         sel = select_columns_min_power(model_p, empty, list(range(8)), 3,
-                                       turn_on=True, cap=100000)
+                                       turn_on=True)
         best = min(
             (model_p.power(np.isin(np.arange(8), ids).reshape(empty.shape)),
              ids) for ids in itertools.combinations(range(8), 3))

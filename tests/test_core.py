@@ -1,6 +1,7 @@
 """Core-level MVM simulation: execution modes, leakage, noise, rerouter."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,10 +13,12 @@ from ptcsim.core import (
     ideal_mvm,
     nmae,
     rerouter_configure,
+    rerouter_node_mw,
+    rerouter_tree_mw,
     simulate_mvm,
     simulate_mvm_batch,
 )
-from ptcsim.devices import DeviceModelError, DeviceParams
+from ptcsim.devices import DeviceModelError, DeviceParams, mzi_power
 from ptcsim.layout import LayoutParams
 
 LAY = LayoutParams()
@@ -96,6 +99,19 @@ def test_rerouter_pattern_order_changes_power():
         rerouter_configure([1] * 4).total_power_mw
         + (math.pi / 2) / math.pi * DeviceParams().p_pi_mw / (1 - 0.130460095),
         rel=1e-6)
+
+
+def test_rerouter_node_table_tree_sum_matches_configure():
+    # The table summed over a tree's nodes prices every pattern as the
+    # configured tree does, and as its node phases do, padding included.
+    for k2 in (4, 6, 8):
+        node_mw = rerouter_node_mw(k2, 9.0, DeviceParams())
+        patterns = np.array(list(itertools.product((0, 1), repeat=k2)), dtype=bool)
+        for pattern, got in zip(patterns, rerouter_tree_mw(patterns, node_mw)):
+            state = rerouter_configure(pattern, 9.0, DeviceParams())
+            direct = float(np.sum(mzi_power(np.abs(state.node_phases_rad), 9.0)))
+            assert got == pytest.approx(state.total_power_mw, rel=1e-12, abs=0)
+            assert got == pytest.approx(direct, rel=1e-12, abs=0)
 
 
 def test_rerouter_empty_mask_rejected():

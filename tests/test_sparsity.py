@@ -1,7 +1,6 @@
 """Structured masks, partitioning, schedules and power-aware prune/grow."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -183,8 +182,6 @@ def test_schedule_for_epochs_and_validation():
     with pytest.raises(DeviceModelError):
         DstSchedule(delta_m=-1)
     with pytest.raises(DeviceModelError):
-        DstSchedule(max_combinations=0)
-    with pytest.raises(DeviceModelError):
         DstSchedule.for_epochs(0)
 
 
@@ -285,8 +282,7 @@ def test_select_columns_matches_brute_force():
     model = ColumnPowerModel(np.ones((2, 2), dtype=bool), w6, arch, DEV, LAY)
     empty = np.zeros((1, 2, 1, 4), dtype=bool)
     pool = list(range(8))
-    sel = select_columns_min_power(model, empty, pool, 3, turn_on=True,
-                                   cap=10000)
+    sel = select_columns_min_power(model, empty, pool, 3, turn_on=True)
     best = None
     for ids in itertools.combinations(pool, 3):
         trial = empty.reshape(-1).copy()
@@ -296,42 +292,114 @@ def test_select_columns_matches_brute_force():
             best = (pw, ids)
     assert sel.chosen == best[1]
     assert sel.power_mw == pytest.approx(best[0])
-    assert sel.n_evaluated == math.comb(8, 3)
+    # DP cells: per module, two 2-leaf nodes with j in 0..2 and the root
+    # with j in 0..4; across the two modules, j in 0..3 for each suffix.
+    assert sel.n_evaluated == 2 * (2 * 3 + 5) + 2 * 4
 
 
-def test_select_columns_ties_and_ensure():
+def test_select_columns_ties_go_to_lowest_index():
     # with all-zero weights the two singleton choices cost the same, so the
-    # earlier candidate must win; an ensured incumbent is evaluated first
+    # lower column index must win
     w6 = partition(np.zeros((2, 2)), SMALL)
     model = ColumnPowerModel(np.ones((1, 2), dtype=bool), w6, SMALL, DEV, LAY)
     empty = np.zeros((1, 1, 1, 2), dtype=bool)
-    sel = select_columns_min_power(model, empty, [0, 1], 1, turn_on=True,
-                                   cap=10000)
+    sel = select_columns_min_power(model, empty, [0, 1], 1, turn_on=True)
     assert sel.chosen == (0,)
-    sel = select_columns_min_power(model, empty, [0, 1], 1, turn_on=True,
-                                   cap=10000, ensure=((1,),))
-    assert sel.chosen == (1,)
-    assert sel.n_evaluated == 3
+    sel = select_columns_min_power(model, empty, [1, 0], 1, turn_on=True)
+    assert sel.chosen == (0,)
     with pytest.raises(DeviceModelError, match="pool"):
-        select_columns_min_power(model, empty, [0], 2, turn_on=True, cap=10)
+        select_columns_min_power(model, empty, [0], 2, turn_on=True)
 
 
-def test_select_columns_cap_one_still_sees_ensured_incumbent():
-    # weights make column 3 much cheaper than column 0; with cap=1 only the
-    # first lexicographic combination (0,) is enumerated, so the cheap
-    # column can win only through `ensure`
+def test_select_columns_finds_the_cheap_last_column():
+    # weights make column 3, the lexicographically last candidate, the
+    # cheapest; the exact search finds it with no incumbent hint
     w = np.zeros((2, 4))
-    w[:, 0] = 0.95
+    w[:, :3] = (0.95, 0.5, 0.3)
     arch = ArchConfig(R=2, C=2, k1=2, k2=4, r=1, c=1)
     w6 = partition(w, arch)
     model = ColumnPowerModel(np.ones((1, 2), dtype=bool), w6, arch, DEV, LAY)
     empty = np.zeros((1, 1, 1, 4), dtype=bool)
-    sel = select_columns_min_power(model, empty, [0, 1, 2, 3], 1,
-                                   turn_on=True, cap=1)
-    assert sel.chosen == (0,) and sel.n_evaluated == 1
-    sel = select_columns_min_power(model, empty, [0, 1, 2, 3], 1,
-                                   turn_on=True, cap=1, ensure=((3,),))
+    sel = select_columns_min_power(model, empty, [0, 1, 2, 3], 1, turn_on=True)
     assert sel.chosen == (3,)
+
+
+def test_select_columns_rejects_pools_it_would_miscount():
+    arch = ArchConfig(R=2, C=2, k1=2, k2=4, r=1, c=1)
+    w6 = partition(np.ones((2, 3)), arch)               # pads one column
+    model = ColumnPowerModel(np.ones((1, 2), dtype=bool), w6, arch, DEV, LAY)
+    col = np.array([True, False, False, False]).reshape(1, 1, 1, 4)
+    pad = padded_column_mask(3, 1, arch)
+    bad = {"n_select": ([1, 2], -1, True),
+           "distinct": ([1, 1], 1, True),
+           "lie in": ([1, 4], 1, True),
+           "padding": ([1, 3], 1, True),
+           "all be off": ([0, 1], 1, True),
+           "all be on": ([0, 1], 1, False)}
+    for match, (pool, n_select, turn_on) in bad.items():
+        with pytest.raises(DeviceModelError, match=match):
+            select_columns_min_power(model, col, pool, n_select, turn_on,
+                                     padded_col=pad)
+    sel = select_columns_min_power(model, col, [1, 2], 2, True, padded_col=pad)
+    assert sel.chosen == (1, 2)
+
+
+def _brute_force(model, col, pool, n_select, turn_on):
+    """Every n_select-subset of the pool with its power, in lexicographic
+    order of sorted column ids."""
+    out = []
+    for ids in itertools.combinations(sorted(pool), n_select):
+        trial = col.reshape(-1).copy()
+        trial[list(ids)] = turn_on
+        out.append((model.power(trial.reshape(col.shape)), ids))
+    return out
+
+
+@st.composite
+def _selection_cases(draw):
+    k2 = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8]))
+    c = draw(st.integers(1, 2))
+    k1 = draw(st.integers(1, 2))
+    arch = ArchConfig(R=1, C=c, k1=k1, k2=k2, r=1, c=c)
+    c_out = draw(st.integers(1, 2))
+    fan_in = draw(st.integers(1, 2 * c * k2))
+    # Weights on a grid of quarters: exact ties are common, and distinct
+    # powers differ far above the tie tolerance.
+    grid = st.integers(-4, 4).map(lambda v: v / 4)
+    w = np.array(draw(st.lists(grid, min_size=c_out * fan_in,
+                               max_size=c_out * fan_in))).reshape(c_out, fan_in)
+    p, q = partition_dims(c_out, fan_in, arch)
+    pad = padded_column_mask(fan_in, q, arch)
+    shape = (p, q, c, k2)
+    usable = ~np.broadcast_to(pad[None], shape).reshape(-1)
+    col = np.array(draw(st.lists(st.booleans(), min_size=usable.size,
+                                 max_size=usable.size))) & usable
+    turn_on = draw(st.booleans())
+    cand = np.flatnonzero((col != turn_on) & usable).tolist()
+    pool = draw(st.lists(st.sampled_from(cand), max_size=6, unique=True)
+                if cand else st.just([]))
+    row = np.array(draw(st.lists(st.booleans(), min_size=k1, max_size=k1)))
+    return (arch, partition(w, arch), row.reshape(1, k1), col.reshape(shape),
+            pad, pool, turn_on)
+
+
+@given(case=_selection_cases(), mode=st.sampled_from(list(ExecutionMode)),
+       output_gating=st.booleans())
+def test_select_columns_dp_matches_brute_force(case, mode, output_gating):
+    """The DP's power is the brute-force minimum and its pick the
+    lowest-index minimiser, for every mode, padding, pool and direction."""
+    arch, w6, row, col, pad, pool, turn_on = case
+    model = ColumnPowerModel(row, w6, arch, DEV, LAY, mode=mode,
+                             output_gating=output_gating)
+    for n_select in range(len(pool) + 1):
+        sel = select_columns_min_power(model, col, pool, n_select, turn_on,
+                                       padded_col=pad)
+        scored = _brute_force(model, col, pool, n_select, turn_on)
+        best = min(pw for pw, _ in scored)
+        assert sel.power_mw == pytest.approx(best, rel=1e-12, abs=0)
+        # The documented tie rule: powers within 1e-13 relative are tied.
+        tied = [ids for pw, ids in scored if pw <= best * (1 + 1e-13)]
+        assert sel.chosen == tied[0]
 
 
 # ---------------------------------------------------------------------------
