@@ -221,9 +221,6 @@ def _cmd_train(args, cfg: Config, seed: int) -> int:
     schedule = DstSchedule.for_epochs(
         epochs, alpha0=cfg.dst.alpha0, t_end_frac=cfg.dst.t_end_frac,
         delta_m=cfg.dst.pool_margin)
-    if cfg.dst.max_combinations is not None:
-        print("note: dst.max_combinations has no effect; column selection "
-              "is exact", file=sys.stderr)
     dataset, data = _load_dataset(args.dataset, seed)
     model, sparse_ids = build_desk_convnet(
         derive_rng(seed, 10), quant=(DESK_ARCH.b_w, DESK_ARCH.b_in))

@@ -34,7 +34,6 @@ class DstConfig:
     alpha0: float = 0.5          # initial death-rate amplitude
     t_end_frac: float = 0.8      # fraction of epochs over which alpha decays
     pool_margin: int = 2         # extra prune candidates considered per layer
-    max_combinations: int | None = None   # accepted, no effect: selection is exact
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -52,8 +51,6 @@ class DstConfig:
             raise ConfigError("dst.t_end_frac must be in (0, 1]")
         if self.pool_margin < 0:
             raise ConfigError("dst.pool_margin must be >= 0")
-        if self.max_combinations is not None and self.max_combinations < 1:
-            raise ConfigError("dst.max_combinations must be >= 1")
 
 
 _SWEEPABLE = {"device": DeviceParams, "layout": LayoutParams, "arch": ArchConfig}
@@ -153,7 +150,7 @@ def _build_section(name: str, cls, data: dict):
         if key not in fields:
             raise ConfigError(f"unknown key '{name}.{key}'")
         f = fields[key]
-        if f.type in ("int", int, "int | None") and isinstance(value, float) and value != int(value):
+        if f.type in ("int", int) and isinstance(value, float) and value != int(value):
             raise ConfigError(f"'{name}.{key}' must be an integer, got {value}")
         if isinstance(value, list):
             value = tuple(value)

@@ -20,10 +20,15 @@ returns one of lowest modeled power, with no cap on the search.  A
 rerouter node's power depends only on how many live leaves sit under each
 of its two subtrees, so a dynamic program over each input module's
 splitter tree and then across modules finds the optimum in O(k2^2) per
-module.  Ties go to the lowest column indices: among choices whose power
-agrees to 1e-13 relative (sums taken in another order differ in the last
-bits), the one whose sorted flat column ids are lexicographically smallest
-wins, so results never depend on timing or thread count.
+module.  Ties go to the lowest column indices: the backtrack keeps the
+choice whose sorted flat column ids are lexicographically smallest, so
+results never depend on timing or thread count.  Sums taken in another
+order differ in the last bits, so a choice counts as tied when it lies
+within ``tol`` of the best, where ``tol`` is 1e-13 times the optimal power
+of the modules that hold pool columns (the layer's constant power and the
+other modules are left out).  The band is applied afresh at every tree
+node and every module the backtrack passes, so the pick may lie above the
+optimum by up to ``tol`` per such step.
 """
 
 from __future__ import annotations
@@ -259,13 +264,13 @@ class SelectionResult:
     n_evaluated: int            # DP cells filled (see select_columns_min_power)
 
 
-# Relative gap below which two choices' powers count as tied.
+# Tie band, relative to the optimal power of the modules holding pool
+# columns; applied per tree node and per module (see the module docstring).
 _TIE_RTOL = 1e-13
 
 
 def select_columns_min_power(model: ColumnPowerModel, col_mask, pool,
-                             n_select: int, turn_on: bool,
-                             padded_col=None) -> SelectionResult:
+                             n_select: int, turn_on: bool) -> SelectionResult:
     """Switch ``n_select`` columns of ``pool`` (flat ids into ``col_mask``)
     to ``turn_on``, choosing the set of lowest ``model.power``.
 
@@ -282,9 +287,8 @@ def select_columns_min_power(model: ColumnPowerModel, col_mask, pool,
     one ``model.power`` call on the chosen mask.
 
     Rejected: a negative ``n_select`` or one larger than the pool,
-    duplicate or out-of-range pool ids, pool columns flagged in
-    ``padded_col`` (zero padding, broadcast against the mask), and pool
-    columns already in the ``turn_on`` state.
+    duplicate or out-of-range pool ids, and pool columns already in the
+    ``turn_on`` state.
     """
     col = model.check_mask(col_mask)
     flat = col.reshape(-1)
@@ -297,9 +301,6 @@ def select_columns_min_power(model: ColumnPowerModel, col_mask, pool,
         raise DeviceModelError("pool ids must be distinct")
     if ids.size and not (0 <= ids.min() and ids.max() < flat.size):
         raise DeviceModelError(f"pool ids must lie in [0, {flat.size})")
-    if padded_col is not None and np.broadcast_to(
-            np.asarray(padded_col, dtype=bool), col.shape).reshape(-1)[ids].any():
-        raise DeviceModelError("padding columns cannot be in the pool")
     if (flat[ids] == turn_on).any():
         raise DeviceModelError(
             f"pool columns must all be {'off' if turn_on else 'on'} to be switched")
@@ -456,7 +457,7 @@ def init_masks(s: float, c_out: int, fan_in: int, arch: ArchConfig,
         model = _objective(row, w6, arch, device, layout, fit)
         empty = np.zeros_like(col)
         sel = select_columns_min_power(model, empty, usable, n_keep,
-                                       turn_on=True, padded_col=pad)
+                                       turn_on=True)
         col = empty.reshape(-1)
         col[list(sel.chosen)] = True
         col = col.reshape(p, q, arch.c, arch.k2)
@@ -496,8 +497,7 @@ def prune_step(mask: SparsityMask, weights6, schedule: DstSchedule, t: int,
     norms = np.sqrt((w6 ** 2).sum(axis=(2, 4))).reshape(-1)[alive]
     pool_n = min(n_c + schedule.delta_m, len(alive))
     pool = alive[np.lexsort((alive, norms))][:pool_n]
-    sel = select_columns_min_power(model, mask.col, pool, n_c, turn_on=False,
-                                   padded_col=mask.padded_col)
+    sel = select_columns_min_power(model, mask.col, pool, n_c, turn_on=False)
     new_col = mask.col.reshape(-1).copy()
     new_col[list(sel.chosen)] = False
     out = mask.with_col(new_col.reshape(mask.col.shape))
@@ -535,8 +535,7 @@ def grow_step(mask: SparsityMask, gradients6, weights6, s: float,
     gnorm = np.sqrt((g6 ** 2 * row6).sum(axis=(2, 4))).reshape(-1)[dead]
     pool_n = min(n_c + schedule.delta_m, len(dead))
     pool = dead[np.lexsort((dead, -gnorm))][:pool_n]
-    sel = select_columns_min_power(model, mask.col, pool, n_c, turn_on=True,
-                                   padded_col=mask.padded_col)
+    sel = select_columns_min_power(model, mask.col, pool, n_c, turn_on=True)
     new_col = mask.col.reshape(-1).copy()
     new_col[list(sel.chosen)] = True
     out = mask.with_col(new_col.reshape(mask.col.shape))

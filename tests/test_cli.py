@@ -127,15 +127,6 @@ def test_train_records_the_dataset_it_loaded(tmp_path, capsys):
         assert "scikit-learn" in notes[0] and "'blobs'" in notes[0]
 
 
-def test_train_notes_that_max_combinations_has_no_effect(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"dst": {"max_combinations": 10}}')
-    code, _ = _run(tmp_path, "--config", str(cfg), "train", "--dataset",
-                   "blobs", "--epochs", "1")
-    assert code == 0
-    assert capsys.readouterr().err.count("dst.max_combinations has no effect") == 1
-
-
 def test_bad_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

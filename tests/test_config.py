@@ -167,6 +167,6 @@ def test_resolve_seed_precedence():
 def test_dst_config_bounds():
     for bad in ({"density": 1.5}, {"epochs": 0}, {"batch_size": 0},
                 {"lr": 0.0}, {"alpha0": -0.1}, {"t_end_frac": 0.0},
-                {"pool_margin": -1}, {"max_combinations": 0}):
+                {"pool_margin": -1}):
         with pytest.raises(ConfigError):
             DstConfig(**bad)
