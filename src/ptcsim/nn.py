@@ -47,29 +47,40 @@ def fake_quant_unsigned(x: np.ndarray, bits: int | None) -> np.ndarray:
 
 
 def im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, C*k*k, H*W) patch matrix for stride-1 conv."""
+    """(N, C, H, W) -> (N, C*k*k, H*W) patch matrix for stride-1 conv.
+
+    One strided copy of the zero-padded image's k x k windows.  The copy is
+    laid out (C*k*k, N, H*W) and returned as a transposed view, so
+    ``cols.transpose(1, 0, 2).reshape(C*k*k, N*H*W)`` -- the matrix a conv
+    layer multiplies -- needs no second copy.
+    """
     n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    h_out = h + 2 * pad - k + 1
-    w_out = w + 2 * pad - k + 1
-    cols = np.empty((n, c, k, k, h_out, w_out), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i:i + h_out, j:j + w_out]
-    return cols.reshape(n, c * k * k, h_out * w_out)
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    l_out = win.shape[2] * win.shape[3]
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n, l_out)
+    return cols.transpose(1, 0, 2)
 
 
 def col2im(cols: np.ndarray, x_shape: tuple, k: int, pad: int) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add patches back onto the image."""
+    """Adjoint of :func:`im2col`: scatter-add patches back onto the image.
+
+    The scatter runs in (C*k*k, H*W, N) memory order, batch innermost, so
+    each of its k*k shifted adds moves whole rows of samples at once.  That
+    order is free when ``cols`` is a view of such an array, as
+    ``Conv2d.backward`` passes; any other layout is copied into it first.
+    The result is an (N, C, H, W) view of a (C, H, W, N) array.
+    """
     n, c, h, w = x_shape
     h_out = h + 2 * pad - k + 1
     w_out = w + 2 * pad - k + 1
-    six = cols.reshape(n, c, k, k, h_out, w_out)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    six = cols.transpose(1, 2, 0).reshape(c, k, k, h_out, w_out, n)
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
     for i in range(k):
         for j in range(k):
-            xp[:, :, i:i + h_out, j:j + w_out] += six[:, :, i, j]
-    return xp[:, :, pad:pad + h, pad:pad + w]
+            xp[:, i:i + h_out, j:j + w_out] += six[:, i, j]
+    return xp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
 
 
 @dataclass
@@ -101,6 +112,7 @@ class _MatmulLayer(Layer):
     quantized operands (straight-through).
     """
 
+    name: str
     w: np.ndarray
     b: np.ndarray
     dw: np.ndarray
@@ -114,11 +126,19 @@ class _MatmulLayer(Layer):
         # for a conv, 1 for a linear); recorded on forward, read by the
         # power/latency scheduler.
         self.vectors_per_sample = 0
+        # What backward needs, saved by a forward with train=True.
+        self._cache: tuple | None = None
 
     def _product(self, wq: np.ndarray, x2d: np.ndarray) -> np.ndarray:
         if self.photonic is not None:
             return self.photonic(wq, x2d)
         return wq @ x2d
+
+    def _saved(self) -> tuple:
+        if self._cache is None:
+            raise DeviceModelError(
+                f"{self.name}.backward needs a forward with train=True first")
+        return self._cache
 
     def params(self) -> list[Param]:
         return [Param(f"{self.name}.w", self.w, self.dw),
@@ -126,7 +146,25 @@ class _MatmulLayer(Layer):
 
 
 class Conv2d(_MatmulLayer):
-    """3x3-style convolution evaluated as W @ im2col(x), stride 1."""
+    """k x k convolution, stride 1, evaluated as one GEMM on a patch matrix.
+
+    Forward quantizes the activations and then unfolds them:
+    ``x2d = im2col(q(x))`` laid out (C_in*k*k, N*H_out*W_out), and
+    ``y = q(W) @ x2d``.  Quantizing before unfolding is exact, not an
+    approximation: ``fake_quant_unsigned`` scales by the tensor maximum,
+    and at stride 1 every pixel lies in some window while padding only
+    adds zeros, so ``max(im2col(x)) == max(x)`` whenever ``max(x) > 0``
+    (both leave the input unchanged when ``max(x) <= 0``).  The patches
+    are therefore the same numbers either way, at 1/k^2 of the rounding
+    work.
+
+    The output is the product plus bias, returned as an (N, C_out, H_out,
+    W_out) view of it.  A training forward caches ``x2d`` and ``q(W)``;
+    backward is BLAS products on the gradient reshaped to ``g2d``
+    (C_out, N*H_out*W_out): ``dW = g2d @ x2d.T``, ``db = g2d.sum(1)`` and
+    ``dx = col2im(q(W).T @ g2d)``, the last with the columns of ``g2d`` in
+    (position, sample) order, the batch-innermost order col2im scatters in.
+    """
 
     def __init__(self, c_in: int, c_out: int, k: int, pad: int,
                  rng: np.random.Generator, name: str,
@@ -141,31 +179,41 @@ class Conv2d(_MatmulLayer):
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
         self.w_bits, self.in_bits = w_bits, in_bits
-        self._cache: tuple | None = None
 
     def forward(self, x, train: bool = False):
+        if x.ndim != 4 or x.shape[1] != self.c_in:
+            raise DeviceModelError(
+                f"{self.name} expects input of shape (N, {self.c_in}, H, W), "
+                f"got {x.shape}")
         n, _, h, w_img = x.shape
-        cols = fake_quant_unsigned(im2col(x, self.k, self.pad), self.in_bits)
-        wq = fake_quant_symmetric(self.w, self.w_bits)
-        l_out = cols.shape[-1]
-        self.vectors_per_sample = l_out
-        x2d = cols.transpose(1, 0, 2).reshape(cols.shape[1], n * l_out)
-        y2d = self._product(wq, x2d)
-        y = y2d.reshape(self.c_out, n, l_out).transpose(1, 0, 2) + self.b[:, None]
-        if train:
-            self._cache = (x.shape, cols, wq)
         h_out = h + 2 * self.pad - self.k + 1
         w_out = w_img + 2 * self.pad - self.k + 1
-        return y.reshape(n, self.c_out, h_out, w_out)
+        if h_out < 1 or w_out < 1:
+            raise DeviceModelError(
+                f"{self.name} expects images of at least "
+                f"{self.k - 2 * self.pad}x{self.k - 2 * self.pad} "
+                f"(kernel {self.k}, pad {self.pad}), got {h}x{w_img}")
+        cols = im2col(fake_quant_unsigned(x, self.in_bits), self.k, self.pad)
+        wq = fake_quant_symmetric(self.w, self.w_bits)
+        l_out = h_out * w_out
+        self.vectors_per_sample = l_out
+        x2d = cols.transpose(1, 0, 2).reshape(cols.shape[1], n * l_out)
+        y2d = self._product(wq, x2d) + self.b[:, None]
+        if train:
+            self._cache = (x.shape, x2d, wq)
+        return y2d.reshape(self.c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
 
     def backward(self, grad):
-        x_shape, cols, wq = self._cache
+        x_shape, x2d, wq = self._saved()
         n = x_shape[0]
-        g2d = grad.reshape(n, self.c_out, -1)
-        self.dw[...] = np.einsum("nol,nfl->of", g2d, cols)
-        self.db[...] = g2d.sum(axis=(0, 2))
-        dcols = np.einsum("of,nol->nfl", wq, g2d)
-        return col2im(dcols, x_shape, self.k, self.pad)
+        g3 = grad.reshape(n, self.c_out, -1)
+        g2d = g3.transpose(1, 0, 2).reshape(self.c_out, -1)
+        self.dw[...] = g2d @ x2d.T
+        self.db[...] = g2d.sum(axis=1)
+        # The same gradient with its columns in (position, sample) order.
+        g_ln = g3.transpose(1, 2, 0).reshape(self.c_out, -1)
+        dcols = (wq.T @ g_ln).reshape(wq.shape[1], g3.shape[2], n)
+        return col2im(dcols.transpose(2, 0, 1), x_shape, self.k, self.pad)
 
 
 class Linear(_MatmulLayer):
@@ -180,9 +228,12 @@ class Linear(_MatmulLayer):
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
         self.w_bits, self.in_bits = w_bits, in_bits
-        self._cache: tuple | None = None
 
     def forward(self, x, train: bool = False):
+        if x.ndim != 2 or x.shape[1] != self.d_in:
+            raise DeviceModelError(
+                f"{self.name} expects input of shape (N, {self.d_in}), "
+                f"got {x.shape}")
         self.vectors_per_sample = 1
         xq = fake_quant_unsigned(x, self.in_bits)
         wq = fake_quant_symmetric(self.w, self.w_bits)
@@ -192,7 +243,7 @@ class Linear(_MatmulLayer):
         return y
 
     def backward(self, grad):
-        xq, wq = self._cache
+        xq, wq = self._saved()
         self.dw[...] = grad.T @ xq
         self.db[...] = grad.sum(axis=0)
         return grad @ wq

@@ -2,9 +2,9 @@
 
 ``bench/run.py`` ends its output with one JSON line that the benchmark's
 driver parses.  This runs the shortest workload once untraced and once
-traced, and the noisy-MVM and sparse-training workloads once untraced, and
-checks that line, so a change to the program that breaks it fails here
-first.  The benchmark's files are read, never edited.
+traced, and the noisy-MVM, sparse-training and train-replay workloads once
+untraced, and checks that line, so a change to the program that breaks it
+fails here first.  The benchmark's files are read, never edited.
 """
 
 import json
@@ -51,3 +51,8 @@ def test_fidelity_study_ends_with_strict_json():
 def test_sparse_training_ends_with_strict_json():
     # One round of the column-selection workload (about 2 s), untraced.
     _check_last_line("sparse_training", 0)
+
+
+def test_train_replay_ends_with_strict_json():
+    # One round of the train-then-evaluate workload (about 3 s), untraced.
+    _check_last_line("train_replay", 0)

@@ -83,6 +83,24 @@ def test_conv2d_matches_direct_correlation():
     assert conv.vectors_per_sample == 4 * 5
 
 
+def test_im2col_matches_loop_unfolding():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(2, 3, 5, 4))
+    for k, pad in ((1, 0), (3, 0), (3, 1), (5, 2)):
+        h_out, w_out = 5 + 2 * pad - k + 1, 4 + 2 * pad - k + 1
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        ref = np.empty((2, 3, k, k, h_out, w_out))
+        for i in range(k):
+            for j in range(k):
+                ref[:, :, i, j] = xp[:, :, i:i + h_out, j:j + w_out]
+        cols = im2col(x, k, pad)
+        assert cols.shape == (2, 3 * k * k, h_out * w_out)
+        assert np.array_equal(cols, ref.reshape(cols.shape))
+        assert np.array_equal(col2im(ref.reshape(cols.shape), x.shape, k, pad),
+                              _reference_col2im(ref.reshape(cols.shape),
+                                                x.shape, k, pad))
+
+
 def test_col2im_is_the_adjoint_of_im2col():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 3, 5, 4))
@@ -90,6 +108,92 @@ def test_col2im_is_the_adjoint_of_im2col():
     lhs = float(np.sum(im2col(x, 3, 1) * cols))
     rhs = float(np.sum(x * col2im(cols, x.shape, 3, 1)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _reference_col2im(cols, x_shape, k, pad):
+    """Loop scatter-add: the adjoint of im2col, one window offset at a time."""
+    n, c, h, w = x_shape
+    h_out, w_out = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    six = cols.reshape(n, c, k, k, h_out, w_out)
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    for i in range(k):
+        for j in range(k):
+            xp[:, :, i:i + h_out, j:j + w_out] += six[:, :, i, j]
+    return xp[:, :, pad:pad + h, pad:pad + w]
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+def test_quantize_then_unfold_equals_unfold_then_quantize(k, pad):
+    # Conv2d quantizes the image before unfolding it; at stride 1 every
+    # pixel lies in some window and padding adds only zeros, so both orders
+    # see the same maximum and give the same patches, bit for bit.
+    x = np.random.default_rng(10 * k + pad).normal(size=(2, 3, 5, 6))
+    inputs = {"non-negative": np.abs(x), "mixed": x,
+              "all-negative": -np.abs(x), "zero": np.zeros_like(x)}
+    for kind, xi in inputs.items():
+        for bits in (6, 3):
+            assert np.array_equal(
+                im2col(fake_quant_unsigned(xi, bits), k, pad),
+                fake_quant_unsigned(im2col(xi, k, pad), bits)), (kind, bits)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+def test_conv2d_gradients_match_finite_differences(k, pad):
+    # Quantization off, so L = sum(r * conv(x)) is bilinear in (w, x) and
+    # central differences are exact up to rounding.
+    rng = np.random.default_rng(20 * k + pad)
+    conv = Conv2d(2, 3, k, pad, rng, "c", None, None)
+    conv.b = rng.normal(size=3)
+    x = rng.normal(size=(2, 2, 5, 6))
+    r = rng.normal(size=conv.forward(x, train=True).shape)
+    dx = conv.backward(r)
+
+    def loss():
+        return float(np.sum(r * conv.forward(x)))
+
+    eps = 1e-6
+    for value, grad, name in ((conv.w, conv.dw, "w"), (conv.b, conv.db, "b"),
+                              (x, dx, "x")):
+        flat, gflat = value.reshape(-1), grad.reshape(-1)
+        for idx in range(flat.size):
+            keep = flat[idx]
+            flat[idx] = keep + eps
+            up = loss()
+            flat[idx] = keep - eps
+            dn = loss()
+            flat[idx] = keep
+            assert gflat[idx] == pytest.approx((up - dn) / (2 * eps),
+                                               rel=1e-6, abs=1e-8), \
+                f"{name}[{idx}]"
+
+
+@pytest.mark.parametrize("k,pad", [(3, 1), (5, 2), (3, 0), (1, 0)])
+def test_conv2d_backward_matches_einsum_reference(k, pad):
+    # With quantization on, backward is three BLAS products on the cached
+    # quantized operands; the einsum formulas below are the reference.
+    rng = np.random.default_rng(30 + k + pad)
+    conv = Conv2d(3, 4, k, pad, rng, "c", 8, 6)
+    x = rng.normal(size=(3, 3, 6, 5))
+    y = conv.forward(x, train=True)
+    g = rng.normal(size=y.shape)
+    dx = conv.backward(g)
+
+    x_shape, x2d, wq = conv._cache
+    assert x_shape == x.shape
+    cols = fake_quant_unsigned(im2col(x, k, pad), 6)
+    assert np.array_equal(x2d, cols.transpose(1, 0, 2).reshape(x2d.shape))
+    assert np.array_equal(wq, fake_quant_symmetric(conv.w, 8))
+
+    g3 = g.reshape(3, 4, -1)
+    np.testing.assert_allclose(conv.dw, np.einsum("nol,nfl->of", g3, cols),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(conv.db, g3.sum(axis=(0, 2)),
+                               rtol=1e-12, atol=1e-12)
+    dcols = np.einsum("of,nol->nfl", wq, g3)
+    np.testing.assert_allclose(dx, _reference_col2im(dcols, x.shape, k, pad),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_photonic_hook_replaces_the_matrix_product():
@@ -149,6 +253,34 @@ def test_backprop_matches_finite_differences():
             assert gflat[idx] == pytest.approx(numeric, rel=1e-4, abs=1e-7), \
                 f"{p.name}[{idx}]"
     assert loss > 0.0
+
+
+def test_layers_reject_out_of_domain_input():
+    rng = np.random.default_rng(8)
+    conv = Conv2d(2, 3, 3, 0, rng, "conv")
+    with pytest.raises(DeviceModelError, match="conv expects images of at "
+                                               "least 3x3"):
+        conv.forward(np.zeros((1, 2, 2, 2)))
+    with pytest.raises(DeviceModelError,
+                       match=r"conv expects input of shape \(N, 2, H, W\)"):
+        conv.forward(np.zeros((1, 3, 4, 4)))
+    with pytest.raises(DeviceModelError, match="conv expects input of shape"):
+        conv.forward(np.zeros((2, 4, 4)))
+    lin = Linear(6, 4, rng, "fc")
+    with pytest.raises(DeviceModelError,
+                       match=r"fc expects input of shape \(N, 6\)"):
+        lin.forward(np.zeros((3, 5)))
+    with pytest.raises(DeviceModelError, match="fc expects input of shape"):
+        lin.forward(np.zeros(6))
+    # backward needs what a training forward saves
+    for layer, x in ((conv, np.zeros((1, 2, 4, 4))), (lin, np.zeros((1, 6)))):
+        with pytest.raises(DeviceModelError, match="forward with train=True"):
+            layer.backward(np.zeros(1))
+        y = layer.forward(x)
+        with pytest.raises(DeviceModelError, match="forward with train=True"):
+            layer.backward(np.zeros_like(y))
+        layer.forward(x, train=True)
+        assert layer.backward(np.zeros_like(y)).shape == x.shape
 
 
 def test_softmax_cross_entropy_oracle():
