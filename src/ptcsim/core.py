@@ -1,4 +1,4 @@
-"""Noisy matrix-vector products on one photonic core, plus the light rerouter.
+"""Noisy products of photonic cores and mapped layers, plus the light rerouter.
 
 The core computes y = W x with the length-k2 input encoded as light
 intensity, weights as MZI phases, and per-node balanced detectors summed
@@ -35,7 +35,7 @@ from .devices import (
     phase_to_weight,
     weight_to_phase,
 )
-from .layout import LayoutParams, perturbed_phases_gated
+from .layout import LayoutParams, perturbed_phases
 
 
 class ExecutionMode(enum.Enum):
@@ -190,7 +190,12 @@ def rerouter_configure(col_mask, arm_spacing_um: float = 9.0,
 # noisy MVM
 # ---------------------------------------------------------------------------
 
-def _validate_mvm_args(x, w, row_mask, col_mask):
+def _mvm_args(x, w, row_mask, col_mask, mode, rng):
+    """Arrays, mode and generator of a product call, range-checked."""
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    row = np.asarray(row_mask, dtype=bool)
+    col = np.asarray(col_mask, dtype=bool)
     if w.ndim < 2:
         raise DeviceModelError("weight array must be at least 2-D (k1, k2)")
     k1, k2 = w.shape[-2], w.shape[-1]
@@ -199,10 +204,52 @@ def _validate_mvm_args(x, w, row_mask, col_mask):
         raise DeviceModelError("weights must lie in [-1, 1]")
     if not np.all((0.0 <= x) & (x <= 1.0)):
         raise DeviceModelError("inputs must lie in [0, 1]")
-    if row_mask.shape[-1] != k1:
+    if row.shape[-1] != k1:
         raise DeviceModelError(f"row mask must have {k1} entries")
-    if col_mask.shape[-1] != k2:
+    if col.shape[-1] != k2:
         raise DeviceModelError(f"column mask must have {k2} entries")
+    if not isinstance(mode, ExecutionMode):
+        mode = ExecutionMode.parse(str(mode))
+    if not isinstance(rng, np.random.Generator):
+        rng = derive_rng(0 if rng is None else rng)
+    return x, w, row, col, mode, rng
+
+
+def _light_path(w, row, col, cores, mode, layout, params, fit, rng,
+                output_gating, coupling_free):
+    """Folded weights and per-output detector sigma of a batch of cores.
+
+    Pruned MZIs drive zero phase: they aggress nobody but still receive
+    crosstalk, which runs once per distinct mapping (the leading dimensions
+    of ``w``, ``row`` and ``col``); phase noise is drawn once per core over
+    ``cores``.  Each mode's input side and readout fold into the weights, so
+    a core computes ``w_fold @ x + sigma * N(0, 1)``.
+    """
+    alive = row[..., :, None] & col[..., None, :]
+    phases = weight_to_phase(np.where(alive, w, 0.0))
+    if not coupling_free:
+        phases = perturbed_phases(phases, layout, fit)
+    if params.phase_noise_sigma_rad > 0:
+        phases = phases + rng.normal(0.0, params.phase_noise_sigma_rad,
+                                     size=cores + w.shape[-2:])
+    w_fold = phase_to_weight(phases)
+
+    # Extinction-ratio floor: a powered-off weight cannot sit closer to zero
+    # than the leakage transmission.
+    tau = leakage_transmission(params)
+    small = ~alive & (np.abs(w_fold) < tau)
+    w_fold[small] = np.where(w_fold[small] >= 0, tau, -tau)
+
+    sigma = np.full(row.shape, params.pd_noise_sigma * math.sqrt(w.shape[-1]))
+    if mode.redistributes:  # boost k2/k2' times readout gain k2'/k2 is 1
+        np.copyto(w_fold, 0.0, where=~col[..., None, :])
+        sigma = sigma * col.mean(axis=-1, keepdims=True)
+    elif mode.gates_inputs:  # a gated modulator passes tau of its input
+        np.multiply(w_fold, tau, out=w_fold, where=~col[..., None, :])
+    if output_gating:
+        np.copyto(w_fold, 0.0, where=~row[..., :, None])
+        sigma = np.where(row, sigma, 0.0)
+    return w_fold, sigma
 
 
 def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
@@ -212,67 +259,61 @@ def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
                        rng: np.random.Generator | int | None = 0,
                        output_gating: bool = True,
                        coupling_free: bool = False) -> np.ndarray:
-    """Vectorized engine behind :func:`simulate_mvm`.
+    """Vectorized engine behind :func:`simulate_mvm`, one output per core.
 
     ``w`` has shape (..., k1, k2) and ``x`` (..., k2, n); leading dimensions
-    batch independent cores that share one RNG stream.  Crosstalk is
-    computed over the broadcast leading dimensions of ``w`` and the two
-    masks only, so a mapping shared by many cores is perturbed once.
-    Phase noise is drawn once per core, over the broadcast leading
-    dimensions of ``x``, ``w`` and both masks, and shared by the n vectors
-    on ``x``'s last axis.  Detector noise is one N(0, sigma_pd*sqrt(k2))
-    draw per output and vector: the k2 nodes' independent N(0, sigma_pd)
-    photocurrent noises summed along the output column.
-    ``coupling_free=True`` skips thermal crosstalk (used for layers mapped
-    on deliberately isolated columns).
+    batch independent cores sharing one RNG stream.  Phase noise is drawn
+    once per core; detector noise is one N(0, sigma) draw per output and
+    vector, sigma = sigma_pd*sqrt(k2) (k2 nodes summed along an output
+    column) times k2'/k2 under redistribution, 0 on gated rows.
     """
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    row = np.asarray(row_mask, dtype=bool)
-    col = np.asarray(col_mask, dtype=bool)
-    _validate_mvm_args(x, w, row_mask=row, col_mask=col)
-    if not isinstance(mode, ExecutionMode):
-        mode = ExecutionMode.parse(str(mode))
-    if not isinstance(rng, np.random.Generator):
-        rng = derive_rng(0 if rng is None else rng)
-    k1, k2 = w.shape[-2], w.shape[-1]
+    x, w, row, col, mode, rng = _mvm_args(x, w, row_mask, col_mask, mode, rng)
     cores = np.broadcast_shapes(x.shape[:-2], w.shape[:-2], row.shape[:-1],
                                 col.shape[:-1])
-
-    phases = weight_to_phase(np.where(row[..., :, None] & col[..., None, :], w, 0.0))
-    if coupling_free:
-        realized = phases
-    else:
-        realized = perturbed_phases_gated(phases, row, col, layout, fit)
-    if params.phase_noise_sigma_rad > 0:
-        realized = realized + rng.normal(0.0, params.phase_noise_sigma_rad,
-                                         size=cores + (k1, k2))
-    w_eff = phase_to_weight(realized)
-
-    # Extinction-ratio floor: a powered-off weight cannot sit closer to zero
-    # than the leakage transmission.
-    tau = leakage_transmission(params)
-    dead = ~(row[..., :, None] & col[..., None, :])
-    floored = np.where(w_eff >= 0, np.maximum(w_eff, tau), np.minimum(w_eff, -tau))
-    w_eff = np.where(dead & (np.abs(w_eff) < tau), floored, w_eff)
-
-    k2_alive = col.sum(axis=-1)
-    if mode.redistributes:  # all light into surviving columns
-        boost = np.divide(k2, k2_alive, out=np.zeros(np.shape(k2_alive), dtype=float),
-                          where=k2_alive > 0)
-        x_eff = np.where(col[..., :, None], x, 0.0) * np.asarray(boost)[..., None, None]
-    elif mode.gates_inputs:
-        x_eff = np.where(col[..., :, None], x, tau * x)
-    else:
-        x_eff = x
-
-    y = w_eff @ x_eff
+    w_fold, sigma = _light_path(w, row, col, cores, mode, layout, params, fit,
+                                rng, output_gating, coupling_free)
+    y = w_fold @ x
     if params.pd_noise_sigma > 0:
-        y = y + rng.normal(0.0, params.pd_noise_sigma * math.sqrt(k2), size=y.shape)
-    if mode.redistributes:
-        y = y * (np.asarray(k2_alive, dtype=float) / k2)[..., None, None]
-    if output_gating:
-        y = np.where(row[..., :, None], y, 0.0)
+        y += sigma[..., None] * rng.standard_normal(y.shape)
+    return y
+
+
+def simulate_layer(x, w6, row_mask, col_mask, mode: ExecutionMode,
+                   layout: LayoutParams,
+                   params: DeviceParams = DeviceParams(),
+                   fit: GammaFit = GammaFit(),
+                   rng: np.random.Generator | int | None = 0,
+                   output_gating: bool = True,
+                   coupling_free: bool = False) -> np.ndarray:
+    """One mapped layer's noisy product, every chunk and core in one pass.
+
+    ``w6`` is the (p, q, r, c, k1, k2) weight partition, ``x`` (..., q, c,
+    k2, m), ``row_mask`` (r, k1), ``col_mask`` (..., p, q, c, k2).  Cores
+    take the light path of :func:`simulate_mvm_batch` and one contraction
+    over (q, c, k2) gives (..., p*r*k1, m); detector noise is one normal per
+    output and vector, of variance sum_{q,c} sigma^2 (per-core normals summed).
+    """
+    x, w6, row, col, mode, rng = _mvm_args(x, w6, row_mask, col_mask, mode, rng)
+    if w6.ndim != 6:
+        raise DeviceModelError("layer weights must be partitioned (p, q, r, c, k1, k2)")
+    p, q, r, c, k1, k2 = w6.shape
+    if (x.shape[-4:-1], row.shape, col.shape[-4:]) != ((q, c, k2), (r, k1),
+                                                        (p, q, c, k2)):
+        raise DeviceModelError(
+            f"inputs {x.shape}, row mask {row.shape} or column mask "
+            f"{col.shape} does not fit the {w6.shape} partition")
+    lead = np.broadcast_shapes(x.shape[:-4], col.shape[:-4])
+    # Masks aligned to the cores' (..., p, q, r, c) axes.
+    w_fold, sigma = _light_path(w6, row[:, None, :], col[..., None, :, :],
+                                lead + (p, q, r, c), mode, layout, params, fit,
+                                rng, output_gating, coupling_free)
+    w2d = np.moveaxis(w_fold, (-5, -3), (-3, -2)).reshape(
+        w_fold.shape[:-6] + (p * r * k1, q * c * k2))
+    y = w2d @ x.reshape(x.shape[:-4] + (q * c * k2, x.shape[-1]))
+    if params.pd_noise_sigma > 0:
+        var = np.broadcast_to(sigma ** 2, lead + (p, q, r, c, k1))
+        sd = np.sqrt(var.sum(axis=(-4, -2))).reshape(lead + (p * r * k1, 1))
+        y += sd * rng.standard_normal(y.shape)
     return y
 
 
@@ -291,15 +332,13 @@ def simulate_mvm(x, w, row_mask=None, col_mask=None,
     default to all-ones.  Identical arguments and seed reproduce the result
     bit for bit.
     """
-    w = np.asarray(w, dtype=float)
-    k1, k2 = w.shape
-    row = np.ones(k1, dtype=bool) if row_mask is None else np.asarray(row_mask, dtype=bool)
-    col = np.ones(k2, dtype=bool) if col_mask is None else np.asarray(col_mask, dtype=bool)
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    y = simulate_mvm_batch(x[:, None] if squeeze else x, w, row, col, mode,
-                           layout, params, fit, rng_seed, output_gating,
-                           coupling_free=coupling_free)
+    k1, k2 = np.shape(w)
+    row = np.ones(k1, dtype=bool) if row_mask is None else row_mask
+    col = np.ones(k2, dtype=bool) if col_mask is None else col_mask
+    squeeze = np.ndim(x) == 1
+    y = simulate_mvm_batch(np.asarray(x)[:, None] if squeeze else x, w, row,
+                           col, mode, layout, params, fit, rng_seed,
+                           output_gating, coupling_free=coupling_free)
     return y[:, 0] if squeeze else y
 
 

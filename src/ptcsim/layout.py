@@ -123,20 +123,3 @@ def perturbed_phases(target_phases: np.ndarray, layout: LayoutParams,
     pert = pos @ g_pos.T + neg @ g_neg.T
     return phases + pert.reshape(phases.shape)
 
-
-def perturbed_phases_gated(target_phases: np.ndarray, row_mask: np.ndarray,
-                           col_mask: np.ndarray, layout: LayoutParams,
-                           fit: GammaFit = GammaFit()) -> np.ndarray:
-    """Realized phases when pruned weight MZIs are powered off.
-
-    ``row_mask`` (..., k1) gates output rows, ``col_mask`` (..., k2) gates
-    input columns; an MZI whose row or column is pruned drives zero phase
-    and therefore aggresses nobody, but it still *receives* crosstalk (that
-    residue is what leaks through as a non-zero pruned weight downstream).
-    With all-ones masks this reduces exactly to :func:`perturbed_phases`.
-    """
-    phases = np.asarray(target_phases, dtype=float)
-    row = np.asarray(row_mask, dtype=bool)
-    col = np.asarray(col_mask, dtype=bool)
-    alive = row[..., :, None] & col[..., None, :]
-    return perturbed_phases(np.where(alive, phases, 0.0), layout, fit)

@@ -91,7 +91,9 @@ class Param:
 
 
 class Layer:
-    """Base class; layers are stateful (they cache what backward needs)."""
+    """Base class; a training forward saves what backward needs in ``_cache``."""
+
+    _cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -101,6 +103,12 @@ class Layer:
 
     def params(self) -> list[Param]:
         return []
+
+    def _saved(self):
+        if self._cache is None:
+            raise DeviceModelError(f"{getattr(self, 'name', type(self).__name__)}"
+                                   ".backward needs a forward with train=True first")
+        return self._cache
 
 
 class _MatmulLayer(Layer):
@@ -126,19 +134,11 @@ class _MatmulLayer(Layer):
         # for a conv, 1 for a linear); recorded on forward, read by the
         # power/latency scheduler.
         self.vectors_per_sample = 0
-        # What backward needs, saved by a forward with train=True.
-        self._cache: tuple | None = None
 
     def _product(self, wq: np.ndarray, x2d: np.ndarray) -> np.ndarray:
         if self.photonic is not None:
             return self.photonic(wq, x2d)
         return wq @ x2d
-
-    def _saved(self) -> tuple:
-        if self._cache is None:
-            raise DeviceModelError(
-                f"{self.name}.backward needs a forward with train=True first")
-        return self._cache
 
     def params(self) -> list[Param]:
         return [Param(f"{self.name}.w", self.w, self.dw),
@@ -252,11 +252,11 @@ class Linear(_MatmulLayer):
 class ReLU(Layer):
     def forward(self, x, train: bool = False):
         if train:
-            self._mask = x > 0
+            self._cache = x > 0
         return np.maximum(x, 0.0)
 
     def backward(self, grad):
-        return grad * self._mask
+        return grad * self._saved()
 
 
 class AvgPool2d(Layer):
@@ -266,22 +266,24 @@ class AvgPool2d(Layer):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             raise DeviceModelError("AvgPool2d needs even spatial dimensions")
-        self._shape = x.shape
+        if train:
+            self._cache = x.shape
         return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
 
     def backward(self, grad):
-        n, c, h, w = self._shape
+        n, c, h, w = self._saved()
         g = np.repeat(np.repeat(grad, 2, axis=2), 2, axis=3) / 4.0
         return g.reshape(n, c, h, w)
 
 
 class Flatten(Layer):
     def forward(self, x, train: bool = False):
-        self._shape = x.shape
+        if train:
+            self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
-        return grad.reshape(self._shape)
+        return grad.reshape(self._saved())
 
 
 class Sequential:

@@ -20,7 +20,9 @@ import numpy as np
 
 from .arch import ArchConfig, ColumnPowerModel, area, pap, power
 from .config import Config, ConfigError, apply_overrides
-from .core import ExecutionMode, derive_rng, ideal_mvm, nmae, simulate_mvm, simulate_mvm_batch
+# simulate_mvm_batch: bound for bench/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
+from .core import (ExecutionMode, derive_rng, ideal_mvm, nmae, simulate_layer,
+                   simulate_mvm, simulate_mvm_batch)
 from .devices import DeviceParams, GammaFit
 from .layout import LayoutParams
 from .sparsity import combinations_capped, interleaved_ones, partition, round_half_up
@@ -288,34 +290,23 @@ def _nmae_block(w6: np.ndarray, x: np.ndarray, row: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """Layer-level N-MAE for a block of seeds, one value per seed.
 
-    ``x`` is (S, q, c, k2, m); ``col`` is (S, q, c, k2) or None for dense.
-    The layer output accumulates over input chunks (q) and photocurrent-
-    summed cores (c); the reference is the exact masked product.  Dense
-    columns get a mask without a seed axis, so every seed shares one
-    crosstalk pass while still drawing its own noise.
+    ``x`` is (S, q, c, k2, m); ``col`` is (S, q, c, k2), or None for dense
+    columns, whose mask has no seed axis so that every seed shares one
+    crosstalk pass.  The reference masks rows in ``w6`` and columns in ``x``.
     """
-    s_n, q = x.shape[0], x.shape[1]
+    s_n, q, c, k2, m = x.shape
     p = w6.shape[0]
-    r, c, k1, k2 = w6.shape[2:]
-    m = x.shape[-1]
-
-    x_arg = x[:, None, :, None]                    # (S,1,q,1,c,k2,m)
     col_b = (np.ones((1, q, c, k2), dtype=bool) if col is None
              else np.asarray(col, dtype=bool))
-    # Align the (r, k1) row mask explicitly: (r, 1, k1) broadcasts onto the
-    # (..., r, c, k1) axes; a bare (r, k1) would land on (c, k1).
-    y = simulate_mvm_batch(
-        x_arg, w6[None], row_mask=row[:, None, :],
-        col_mask=col_b[:, None, :, None],
+    y = simulate_layer(
+        x, w6, row, np.broadcast_to(col_b[:, None], (len(col_b), p, q, c, k2)),
         mode=mode, layout=layout, params=device, fit=fit, rng=rng,
         output_gating=output_gating)
-    y_layer = y.sum(axis=(2, 4)).reshape(s_n, p * r * k1, m)
 
-    w_eff = (w6[None]
-             * row[None, None, None, :, None, :, None]
-             * col_b[:, None, :, None, :, None, :])
-    y_ref = (w_eff @ x_arg).sum(axis=(2, 4)).reshape(s_n, p * r * k1, m)
-    num = np.abs(y_layer - y_ref).mean(axis=(1, 2))
+    w2d = (w6 * row[:, None, :, None]).transpose(0, 2, 4, 1, 3, 5)
+    y_ref = (w2d.reshape(y.shape[1], q * c * k2)
+             @ (x * col_b[..., None]).reshape(s_n, q * c * k2, m))
+    num = np.abs(y - y_ref).mean(axis=(1, 2))
     den = np.abs(y_ref).mean(axis=(1, 2))
     return num / den
 

@@ -8,8 +8,8 @@ norm, both refined by modeled power).  The final 20% of epochs run with
 frozen masks so accuracy can settle.
 
 ``evaluate_with_variation`` replays a trained model through the noisy
-hardware path: every conv/linear product is partitioned into chunks and
-simulated core by core with crosstalk, phase noise and detector noise
+hardware path: every conv/linear product runs as one mapped layer, every
+core with crosstalk and phase noise, every output with detector noise,
 under a chosen execution mode.  The last linear layer is mapped
 crosstalk-free (its columns are assumed spread out on chip), matching how
 a deployment would protect the classifier head.
@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .arch import ArchConfig, energy
-from .core import ExecutionMode, derive_rng, nmae, simulate_mvm_batch
+# simulate_mvm_batch: bound for bench/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
+from .core import ExecutionMode, derive_rng, nmae, simulate_layer, simulate_mvm_batch
 from .devices import DeviceModelError, DeviceParams, GammaFit
 from .layout import LayoutParams
 from .nn import (
@@ -42,7 +43,6 @@ from .sparsity import (
     init_masks,
     mask_power,
     partition,
-    partition_dims,
     prune_step,
     weight_scale,
 )
@@ -58,11 +58,9 @@ class PhotonicBackend:
     """Routes one layer's 2-D matrix product through the hardware model.
 
     Weights are normalized per tensor to [-1, 1] and activations to [0, 1]
-    (both rescaled back after detection), the matrix is partitioned into
-    (r*k1) x (c*k2) chunks, and every chunk's r*c cores are simulated with
-    crosstalk and noise.  Photocurrents sum across the c cores sharing a
-    readout; chunk results accumulate over the q input chunks.  Each call
-    appends the product's N-MAE against the exact masked reference to
+    (both rescaled back after detection), partitioned into (r*k1) x (c*k2)
+    chunks and run as one :func:`~ptcsim.core.simulate_layer` call.  Each
+    call appends the product's N-MAE against the exact masked reference to
     ``nmae_log``.
     """
 
@@ -86,31 +84,17 @@ class PhotonicBackend:
         w = np.asarray(w2d, dtype=float)
         x = np.asarray(x2d, dtype=float)
         c_out, fan_in = w.shape
-        m = x.shape[1]
-        p, q = partition_dims(c_out, fan_in, arch)
-        if self.mask.col.shape[:2] != (p, q):
-            raise DeviceModelError("sparsity mask does not fit this layer")
-
         w_scale = weight_scale(w)
         x_scale = float(x.max()) if x.size and x.max() > 0 else 1.0
         w6 = partition(w / w_scale, arch)
+        q, m = w6.shape[1], x.shape[1]
         xp = np.zeros((q * arch.chunk_cols, m))
         xp[:fan_in] = x / x_scale
-        x6 = xp.reshape(q, arch.c, arch.k2, m)
-
-        y = np.zeros((p, arch.r, arch.k1, m))
-        for pi in range(p):
-            for qi in range(q):
-                yc = simulate_mvm_batch(
-                    x6[qi][None], w6[pi, qi],
-                    row_mask=self.mask.row[:, None, :],
-                    col_mask=self.mask.col[pi, qi][None],
-                    mode=self.mode, layout=self.layout, params=self.device,
-                    fit=self.fit, rng=self.rng,
-                    output_gating=self.output_gating,
-                    coupling_free=self.coupling_free)
-                y[pi] += yc.sum(axis=1)
-        y2d = y.reshape(p * arch.chunk_rows, m)[:c_out] * (w_scale * x_scale)
+        y = simulate_layer(
+            xp.reshape(q, arch.c, arch.k2, m), w6, self.mask.row,
+            self.mask.col, self.mode, self.layout, self.device, self.fit,
+            self.rng, self.output_gating, self.coupling_free)
+        y2d = y[:c_out] * (w_scale * x_scale)
 
         ref = (w * self.mask.to_dense(c_out, fan_in)) @ x
         if np.abs(ref).mean() > 0:

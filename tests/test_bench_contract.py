@@ -1,10 +1,13 @@
 """The program's side of the benchmark's output contract.
 
 ``bench/run.py`` ends its output with one JSON line that the benchmark's
-driver parses.  This runs the shortest workload once untraced and once
-traced, and the noisy-MVM, sparse-training and train-replay workloads once
-untraced, and checks that line, so a change to the program that breaks it
-fails here first.  The benchmark's files are read, never edited.
+driver parses.  This runs the shortest workload, the noisy-MVM workload
+and the train-replay workload once untraced and once traced, and the
+sparse-training workload once untraced, and checks that line, so a change
+to the program that breaks it fails here first.  A traced run also fails
+on any ``absent`` line, which guards the bindings the tracer wraps (such
+as ``simulate_mvm_batch`` in ``ptcsim.sweeps`` and ``ptcsim.training``).
+The benchmark's files are read, never edited.
 """
 
 import json
@@ -48,6 +51,10 @@ def test_fidelity_study_ends_with_strict_json():
     _check_last_line("fidelity_study", 0)
 
 
+def test_traced_fidelity_study_ends_with_strict_json():
+    _check_last_line("fidelity_study", 1)
+
+
 def test_sparse_training_ends_with_strict_json():
     # One round of the column-selection workload (about 2 s), untraced.
     _check_last_line("sparse_training", 0)
@@ -56,3 +63,7 @@ def test_sparse_training_ends_with_strict_json():
 def test_train_replay_ends_with_strict_json():
     # One round of the train-then-evaluate workload (about 3 s), untraced.
     _check_last_line("train_replay", 0)
+
+
+def test_traced_train_replay_ends_with_strict_json():
+    _check_last_line("train_replay", 1)

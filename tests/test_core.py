@@ -15,11 +15,19 @@ from ptcsim.core import (
     rerouter_configure,
     rerouter_node_mw,
     rerouter_tree_mw,
+    simulate_layer,
     simulate_mvm,
     simulate_mvm_batch,
 )
-from ptcsim.devices import DeviceModelError, DeviceParams, mzi_power
-from ptcsim.layout import LayoutParams
+from ptcsim.devices import (
+    DeviceModelError,
+    DeviceParams,
+    leakage_transmission,
+    mzi_power,
+    phase_to_weight,
+    weight_to_phase,
+)
+from ptcsim.layout import LayoutParams, perturbed_phases
 
 LAY = LayoutParams()
 QUIET = DeviceParams(pd_noise_sigma=0.0, phase_noise_sigma_rad=0.0)
@@ -308,6 +316,115 @@ def test_extinction_ratio_controls_the_leakage_floor():
                        coupling_free=True)
     assert y20[0] - 0.4 == pytest.approx(1e-2 * 0.6, rel=1e-9)
     assert y30[0] - 0.4 == pytest.approx(1e-3 * 0.6, rel=1e-9)
+
+
+def test_masked_mzis_aggress_nobody_but_receive_crosstalk():
+    # Unit input vectors read the realized weights off the light path
+    # (prune-only, quiet, no output gating); a 100 dB extinction ratio keeps
+    # the floor below the crosstalk a masked MZI receives.
+    dev = dataclasses.replace(QUIET, extinction_ratio_db=100.0)
+    w = np.random.default_rng(4).uniform(-0.8, 0.8, size=(4, 4))
+    row = np.array([True, True, True, False])
+    col = np.array([True, False, True, True])
+    ones = np.ones(4, dtype=bool)
+    alive = row[:, None] & col[None, :]
+
+    def realized(w, row, col, coupling_free=False):
+        return simulate_mvm_batch(np.eye(4), w, row, col,
+                                  ExecutionMode.PRUNE_ONLY, LAY, dev,
+                                  output_gating=False,
+                                  coupling_free=coupling_free)
+
+    gated = realized(w, row, col)
+    # A powered-off MZI drives zero phase: live weights match the zeroed
+    # programming with every MZI on, and differ from the unmasked one.
+    assert np.array_equal(gated[alive],
+                          realized(np.where(alive, w, 0.0), ones, ones)[alive])
+    assert not np.array_equal(gated[alive], realized(w, ones, ones)[alive])
+    # Masked MZIs still receive crosstalk from live neighbours.
+    free = realized(w, row, col, coupling_free=True)
+    assert np.all(free[~alive] == leakage_transmission(dev))
+    assert np.any(gated[~alive] != free[~alive])
+    # All-ones masks give the plain crosstalk result.
+    plain = phase_to_weight(perturbed_phases(weight_to_phase(w), LAY))
+    assert np.array_equal(realized(w, ones, ones), plain)
+
+
+# ---------------------------------------------------------------------------
+# simulate_layer: one mapped layer in one pass
+# ---------------------------------------------------------------------------
+
+P, Q, R, C, K1, K2 = 2, 3, 2, 2, 3, 4
+
+
+def _layer_operands(seed, n_seeds, m=3):
+    rng = derive_rng(seed)
+    w6 = rng.uniform(-1.0, 1.0, size=(P, Q, R, C, K1, K2))
+    x = rng.uniform(0.0, 1.0, size=(n_seeds, Q, C, K2, m))
+    row = rng.uniform(size=(R, K1)) < 0.7
+    col = rng.uniform(size=(n_seeds, P, Q, C, K2)) < 0.6
+    return w6, x, row, col
+
+
+@pytest.mark.parametrize("coupling_free", [False, True])
+@pytest.mark.parametrize("output_gating", [False, True])
+@pytest.mark.parametrize("mode", list(ExecutionMode))
+def test_quiet_layer_is_the_sum_of_its_cores(mode, output_gating, coupling_free):
+    # Per-(seed, p, q, c) column masks: the layer product equals the
+    # per-core products summed over the c cores of a readout and the q
+    # input chunks.
+    w6, x, row, col = _layer_operands(60, n_seeds=2)
+    args = dict(mode=mode, layout=LAY, params=QUIET,
+                output_gating=output_gating, coupling_free=coupling_free)
+    y = simulate_layer(x, w6, row, col, **args)
+    cores = simulate_mvm_batch(x[:, None, :, None], w6, row[:, None, :],
+                               col[:, :, :, None], **args)
+    expected = cores.sum(axis=(2, 4)).reshape(2, P * R * K1, -1)
+    assert y.shape == expected.shape
+    assert np.allclose(y, expected, rtol=0, atol=1e-12)
+
+
+def test_layer_detector_noise_is_one_draw_per_output():
+    # Zero weights and a constant input leave the detector noise as each
+    # output's spread: sqrt of the (q, c) sum of sigma^2, with sigma =
+    # sigma_pd * sqrt(k2) (times k2'/k2 under redistribution); gated rows
+    # are exactly 0.
+    n_seeds, m = 3000, 4
+    dev = DeviceParams(phase_noise_sigma_rad=0.0)
+    w6 = np.zeros((1, Q, 1, C, K1, K2))
+    x = np.full((n_seeds, Q, C, K2, m), 0.5)
+    row = np.array([[True, False, True]])
+    col = np.zeros((1, Q, C, K2), dtype=bool)
+    for i, alive in enumerate((1, 2, 3, 4, 4, 2)):
+        col.reshape(-1, K2)[i, :alive] = True
+    base = dev.pd_noise_sigma * math.sqrt(K2)
+    for i, mode in enumerate((ExecutionMode.PRUNE_ONLY,
+                              ExecutionMode.INPUT_GATING_LR)):
+        y = simulate_layer(x, w6, row, col, mode, LAY, dev,
+                           rng=derive_rng(61, i))
+        assert y.shape == (n_seeds, K1, m)
+        assert np.all(y[:, ~row[0]] == 0.0)
+        gain = col.sum(axis=-1) / K2 if mode.redistributes else np.ones((Q, C))
+        expected = base * math.sqrt(float((gain ** 2).sum()))
+        sd = y[:, row[0]].std(axis=(0, 2))
+        assert sd == pytest.approx(np.full(2, expected), rel=0.03)
+
+
+def test_layer_rejects_mismatched_partitions():
+    w6, x, row, col = _layer_operands(62, n_seeds=1)
+    run = dict(mode=ExecutionMode.PRUNE_ONLY, layout=LAY, params=QUIET)
+    with pytest.raises(DeviceModelError, match="partitioned"):
+        simulate_layer(x, w6[0], row, col, **run)
+    with pytest.raises(DeviceModelError, match="does not fit"):
+        simulate_layer(x[:, :2], w6, row, col, **run)
+    with pytest.raises(DeviceModelError, match="does not fit"):
+        simulate_layer(x[0, 0], w6, row, col, **run)
+    with pytest.raises(DeviceModelError, match="does not fit"):
+        simulate_layer(x, w6, row[:1], col, **run)
+    with pytest.raises(DeviceModelError, match="does not fit"):
+        simulate_layer(x, w6, row, col[:, :1], **run)
+    with pytest.raises(DeviceModelError, match="does not fit"):
+        simulate_layer(x, w6, row, col[0, 0], **run)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from ptcsim.layout import (
     aggressor_distances,
     coupling_matrices,
     perturbed_phases,
-    perturbed_phases_gated,
 )
 
 LAY = LayoutParams()  # l_s=9, l_g=5, l_v=120, ps_width=6 -> l_h=20
@@ -117,22 +116,3 @@ def test_perturbed_phases_batch_matches_loop():
     for i in range(5):
         assert np.allclose(batched[i], perturbed_phases(phases[i], LAY),
                            rtol=0, atol=1e-15)
-
-
-def test_gated_phases_silence_masked_aggressors():
-    rng = np.random.default_rng(4)
-    phases = rng.uniform(-1.0, 1.0, size=(4, 4))
-    row = np.array([True, True, True, False])
-    col = np.array([True, False, True, True])
-    gated = perturbed_phases_gated(phases, row, col, LAY)
-    # A powered-off MZI drives zero phase, so the result must equal the
-    # ungated aggregation of the zeroed programming.
-    alive = row[:, None] & col[None, :]
-    assert np.allclose(gated, perturbed_phases(np.where(alive, phases, 0.0), LAY),
-                       rtol=0, atol=0)
-    # Masked nodes still receive crosstalk from live neighbours.
-    assert np.any(gated[~alive] != 0.0)
-    # All-ones masks reduce to the plain version.
-    ones = np.ones(4, dtype=bool)
-    assert np.array_equal(perturbed_phases_gated(phases, ones, ones, LAY),
-                          perturbed_phases(phases, LAY))

@@ -283,6 +283,24 @@ def test_layers_reject_out_of_domain_input():
         assert layer.backward(np.zeros_like(y)).shape == x.shape
 
 
+def test_shape_layers_keep_only_training_state():
+    # Backward before any forward names the layer; an evaluation forward on
+    # another batch between a training forward and its backward changes
+    # nothing.
+    x2 = np.arange(32.0).reshape(2, 1, 4, 4) - 16.0
+    for layer in (ReLU(), AvgPool2d(), Flatten()):
+        name = type(layer).__name__
+        with pytest.raises(DeviceModelError,
+                           match=f"{name}.backward needs a forward with train=True"):
+            layer.backward(np.zeros(1))
+        y2 = layer.forward(x2, train=True)
+        layer.forward(x2[:1])
+        g = layer.backward(np.ones_like(y2))
+        assert g.shape == x2.shape
+        if isinstance(layer, ReLU):
+            assert np.array_equal(g, (x2 > 0).astype(float))
+
+
 def test_softmax_cross_entropy_oracle():
     logits = np.array([[2.0, 0.5, -1.0], [0.0, 0.0, 0.0]])
     labels = np.array([0, 2])
