@@ -37,7 +37,6 @@ from .arch import (
     PowerBreakdown,
     area,
     chunk_power,
-    cycles_for_layer,
     energy,
     pap,
     power,
@@ -84,7 +83,6 @@ __all__ = [
     "area",
     "chunk_power",
     "coupling_matrices",
-    "cycles_for_layer",
     "derive_rng",
     "edac_power",
     "energy",

@@ -1,4 +1,4 @@
-"""Accelerator-level power, area, energy and cycle-count models.
+"""Accelerator-level power, area and energy models.
 
 The accelerator is R tiles of C cores, each core a k1 x k2 crossbar.  One
 input module (k2 DAC+modulator channels plus a rerouter) feeds ``r`` cores
@@ -8,7 +8,7 @@ of k1 TIA+ADC channels by summing photocurrents.  A weight chunk of
 
 Power is evaluated bottom-up from the device models; area follows the
 fixed floorplan formula (crossbar footprint plus per-channel converter and
-readout blocks).  Energy walks a schedule of (chunk power, cycles) entries.
+readout blocks).  Energy walks a schedule of (power in mW, cycles) pairs.
 """
 
 from __future__ import annotations
@@ -155,31 +155,6 @@ class AreaBreakdown:
         }
 
 
-def _normalize_chunk_masks(arch: ArchConfig, row_mask, col_mask):
-    """Masks as (r, k1) and (c, k2) booleans; dense when None.
-
-    A column mask may be given with an explicit r axis (r, c, k2), but the
-    sharing group must then agree exactly: the r cores fed by one input
-    module cannot gate the same physical channel differently.
-    """
-    if row_mask is None:
-        row = np.ones((arch.r, arch.k1), dtype=bool)
-    else:
-        row = np.asarray(row_mask, dtype=bool).reshape(arch.r, arch.k1)
-    if col_mask is None:
-        col = np.ones((arch.c, arch.k2), dtype=bool)
-    else:
-        col = np.asarray(col_mask, dtype=bool)
-        if col.ndim == 3:
-            if not (col == col[0]).all():
-                raise DeviceModelError(
-                    "column masks differ across the r cores of one input-sharing "
-                    "group; shared channels cannot be gated inconsistently")
-            col = col[0]
-        col = col.reshape(arch.c, arch.k2)
-    return row, col
-
-
 class ColumnPowerModel:
     """Modeled power (mW) of a layer's p*q chunk mappings as a function of
     its column mask: the one pricing of a mask, for any mode and output
@@ -260,37 +235,26 @@ class ColumnPowerModel:
 
 
 def chunk_power(arch: ArchConfig, device: DeviceParams, layout: LayoutParams,
-                fit: GammaFit = GammaFit(), weights=None,
-                row_mask=None, col_mask=None,
-                mode: ExecutionMode = ExecutionMode.PRUNE_ONLY,
-                output_gating: bool = True) -> PowerBreakdown:
-    """Power of the hardware slice serving one (r*k1) x (c*k2) weight chunk.
+                fit: GammaFit = GammaFit()) -> PowerBreakdown:
+    """Dense power of the hardware slice serving one (r*k1) x (c*k2) chunk.
 
-    The slice is r*c cores, c input modules and r readout arrays; this is
-    the one-chunk case of :class:`ColumnPowerModel`.  ``weights`` is an
-    (r, c, k1, k2) array; pass None for the analytic uniform-weight
-    estimate (mean |phase| = pi/2 - 1).
+    The slice is r*c cores, c input modules and r readout arrays, every
+    device on and every MZI at the uniform-weight mean |phase| = pi/2 - 1.
+    Masks and concrete weights are priced by :class:`ColumnPowerModel`.
     """
-    row, col = _normalize_chunk_masks(arch, row_mask, col_mask)
-    w6 = None if weights is None else np.asarray(weights, dtype=float).reshape(
-        1, 1, arch.r, arch.c, arch.k1, arch.k2)
-    model = ColumnPowerModel(row, w6, arch, device, layout, fit, mode, output_gating)
-    return model.breakdown(col[None, None])
+    model = ColumnPowerModel(np.ones((arch.r, arch.k1), dtype=bool), None, arch,
+                             device, layout, fit, ExecutionMode.PRUNE_ONLY)
+    return model.breakdown(np.ones((1, 1, arch.c, arch.k2), dtype=bool))
 
 
 def power(arch: ArchConfig, device: DeviceParams, layout: LayoutParams,
-          fit: GammaFit = GammaFit(), weights=None, row_mask=None, col_mask=None,
-          mode: ExecutionMode = ExecutionMode.PRUNE_ONLY,
-          output_gating: bool = True) -> PowerBreakdown:
-    """Whole-accelerator power with every chunk slot running the given chunk.
+          fit: GammaFit = GammaFit()) -> PowerBreakdown:
+    """Dense whole-accelerator power, every chunk slot running one chunk.
 
-    With dense masks and no weights this reproduces the closed forms
-    P_in = (R*C*k2/r)(P_mod + P_DAC), P_wgt = R*C*k1*k2*(P_MZI + 2*P_PD),
-    P_out = (R*C*k1/c)(P_TIA + P_ADC).
+    Reproduces the closed forms P_in = (R*C*k2/r)(P_mod + P_DAC),
+    P_wgt = R*C*k1*k2*(P_MZI + 2*P_PD), P_out = (R*C*k1/c)(P_TIA + P_ADC).
     """
-    one = chunk_power(arch, device, layout, fit, weights, row_mask, col_mask,
-                      mode, output_gating)
-    return one.scaled(arch.n_chunk_slots)
+    return chunk_power(arch, device, layout, fit).scaled(arch.n_chunk_slots)
 
 
 def area(arch: ArchConfig, device: DeviceParams, layout: LayoutParams) -> AreaBreakdown:
@@ -322,39 +286,18 @@ def area(arch: ArchConfig, device: DeviceParams, layout: LayoutParams) -> AreaBr
     )
 
 
-def cycles_for_layer(c_out: int, fan_in: int, n_vectors: int,
-                     arch: ArchConfig) -> int:
-    """Cycles to push ``n_vectors`` activation vectors through one layer.
-
-    The weight matrix tiles into p = ceil(c_out / (r*k1)) by
-    q = ceil(fan_in / (c*k2)) chunks; each chunk consumes one cycle per
-    vector regardless of sparsity (pruned devices idle but the slot is
-    still scheduled).  For a conv layer, fan_in = C_in * K^2 and
-    ``n_vectors`` is the number of output positions.
-    """
-    if c_out < 1 or fan_in < 1 or n_vectors < 1:
-        raise DeviceModelError("layer dimensions must be positive")
-    p = -(-c_out // arch.chunk_rows)
-    q = -(-fan_in // arch.chunk_cols)
-    return p * q * n_vectors
-
-
 def energy(f_ghz: float, schedule) -> tuple[float, float]:
     """Total energy (mJ) and average power (W) over a chunk schedule.
 
-    ``schedule`` is an iterable whose entries end in (power, cycles), where
-    power is a PowerBreakdown or a plain mW figure (leading fields such as
-    layer/chunk labels are ignored).  Average power is total energy over
-    total wallclock (sequential chunks).
+    ``schedule`` is an iterable of (power in mW, cycles) pairs.  Average
+    power is total energy over total wallclock (sequential chunks).
     """
     total_pj = 0.0
     total_cycles = 0
-    for entry in schedule:
-        p, cycles = entry[-2], entry[-1]
-        p_mw = p.total_mw if isinstance(p, PowerBreakdown) else float(p)
+    for p_mw, cycles in schedule:
         if cycles < 0:
             raise DeviceModelError("schedule cycle counts must be non-negative")
-        total_pj += p_mw * cycles / f_ghz   # mW * ns = pJ
+        total_pj += float(p_mw) * cycles / f_ghz   # mW * ns = pJ
         total_cycles += cycles
     if total_cycles == 0:
         raise DeviceModelError("cannot average power over an empty schedule")

@@ -26,7 +26,6 @@ from .data import load_dataset, resolve_dataset
 from .devices import GammaFit
 from .layout import coupling_matrices
 from .nn import build_desk_convnet
-from .sparsity import DstSchedule
 from .sweeps import (
     TABLE_COLUMNS,
     run_nmae_study,
@@ -216,18 +215,17 @@ def _load_dataset(name: str, seed: int):
 
 
 def _cmd_train(args, cfg: Config, seed: int) -> int:
-    density = args.density if args.density is not None else cfg.dst.density
-    epochs = args.epochs if args.epochs is not None else cfg.dst.epochs
-    schedule = DstSchedule.for_epochs(
-        epochs, alpha0=cfg.dst.alpha0, t_end_frac=cfg.dst.t_end_frac,
-        delta_m=cfg.dst.pool_margin)
+    overrides = {"density": args.density, "epochs": args.epochs}
+    dst = dataclasses.replace(
+        cfg.dst, **{k: v for k, v in overrides.items() if v is not None})
+    schedule = dst.schedule()
     dataset, data = _load_dataset(args.dataset, seed)
     model, sparse_ids = build_desk_convnet(
         derive_rng(seed, 10), quant=(DESK_ARCH.b_w, DESK_ARCH.b_in))
-    result = train(model, sparse_ids, data, s=density, schedule=schedule,
+    result = train(model, sparse_ids, data, s=dst.density, schedule=schedule,
                    arch=DESK_ARCH, device=cfg.device, layout=cfg.layout,
-                   epochs=epochs, lr=cfg.dst.lr,
-                   batch_size=cfg.dst.batch_size, seed=seed,
+                   epochs=dst.epochs, lr=dst.lr,
+                   batch_size=dst.batch_size, seed=seed,
                    meta={"model_kind": "desk_convnet",
                          "quant": [DESK_ARCH.b_w, DESK_ARCH.b_in],
                          "dataset": dataset})
@@ -237,7 +235,7 @@ def _cmd_train(args, cfg: Config, seed: int) -> int:
               ("epoch", "loss", "accuracy", "density", "power_w"),
               result.history)
     last = result.history[-1]
-    print(f"trained {epochs} epochs on '{dataset}': "
+    print(f"trained {dst.epochs} epochs on '{dataset}': "
           f"accuracy = {last['accuracy']:.4f}, density = {last['density']:.4f}, "
           f"modeled P = {last['power_w']:.4f} W")
     print(f"checkpoint -> {out / 'checkpoint.json'}")

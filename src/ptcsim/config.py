@@ -17,6 +17,7 @@ from pathlib import Path
 from .arch import ArchConfig
 from .devices import DeviceModelError, DeviceParams
 from .layout import LayoutParams
+from .sparsity import DstSchedule
 
 
 class ConfigError(Exception):
@@ -34,23 +35,25 @@ class DstConfig:
     alpha0: float = 0.5          # initial death-rate amplitude
     t_end_frac: float = 0.8      # fraction of epochs over which alpha decays
     pool_margin: int = 2         # extra prune candidates considered per layer
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.density <= 1.0:
             raise ConfigError(f"dst.density must be in (0, 1], got {self.density}")
-        if self.epochs < 1:
-            raise ConfigError("dst.epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("dst.batch_size must be >= 1")
         if not self.lr > 0:
             raise ConfigError("dst.lr must be positive")
-        if not 0.0 <= self.alpha0 <= 1.0:
-            raise ConfigError("dst.alpha0 must be in [0, 1]")
-        if not 0.0 < self.t_end_frac <= 1.0:
-            raise ConfigError("dst.t_end_frac must be in (0, 1]")
-        if self.pool_margin < 0:
-            raise ConfigError("dst.pool_margin must be >= 0")
+        self.schedule()
+
+    def schedule(self) -> DstSchedule:
+        """The prune/grow schedule these settings give; its rules are the
+        only statement of the ranges of epochs, alpha0, t_end_frac and
+        pool_margin."""
+        try:
+            return DstSchedule.for_epochs(self.epochs, self.alpha0,
+                                          self.t_end_frac, self.pool_margin)
+        except DeviceModelError as exc:
+            raise ConfigError(f"dst: {exc}") from exc
 
 
 _SWEEPABLE = {"device": DeviceParams, "layout": LayoutParams, "arch": ArchConfig}

@@ -215,6 +215,15 @@ def _mvm_args(x, w, row_mask, col_mask, mode, rng):
     return x, w, row, col, mode, rng
 
 
+def _batch_shape(**leads) -> tuple[int, ...]:
+    """The broadcast of the named leading (batch) shapes."""
+    try:
+        return np.broadcast_shapes(*leads.values())
+    except ValueError:
+        raise DeviceModelError("leading dimensions do not broadcast: " + ", ".join(
+            f"{name} {shape}" for name, shape in leads.items())) from None
+
+
 def _light_path(w, row, col, cores, mode, layout, params, fit, rng,
                 output_gating, coupling_free):
     """Folded weights and per-output detector sigma of a batch of cores.
@@ -238,7 +247,7 @@ def _light_path(w, row, col, cores, mode, layout, params, fit, rng,
     # than the leakage transmission.
     tau = leakage_transmission(params)
     small = ~alive & (np.abs(w_fold) < tau)
-    w_fold[small] = np.where(w_fold[small] >= 0, tau, -tau)
+    np.copyto(w_fold, np.where(w_fold >= 0, tau, -tau), where=small)
 
     sigma = np.full(row.shape, params.pd_noise_sigma * math.sqrt(w.shape[-1]))
     if mode.redistributes:  # boost k2/k2' times readout gain k2'/k2 is 1
@@ -268,8 +277,8 @@ def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
     column) times k2'/k2 under redistribution, 0 on gated rows.
     """
     x, w, row, col, mode, rng = _mvm_args(x, w, row_mask, col_mask, mode, rng)
-    cores = np.broadcast_shapes(x.shape[:-2], w.shape[:-2], row.shape[:-1],
-                                col.shape[:-1])
+    cores = _batch_shape(x=x.shape[:-2], w=w.shape[:-2], row_mask=row.shape[:-1],
+                         col_mask=col.shape[:-1])
     w_fold, sigma = _light_path(w, row, col, cores, mode, layout, params, fit,
                                 rng, output_gating, coupling_free)
     y = w_fold @ x
@@ -302,7 +311,7 @@ def simulate_layer(x, w6, row_mask, col_mask, mode: ExecutionMode,
         raise DeviceModelError(
             f"inputs {x.shape}, row mask {row.shape} or column mask "
             f"{col.shape} does not fit the {w6.shape} partition")
-    lead = np.broadcast_shapes(x.shape[:-4], col.shape[:-4])
+    lead = _batch_shape(x=x.shape[:-4], col_mask=col.shape[:-4])
     # Masks aligned to the cores' (..., p, q, r, c) axes.
     w_fold, sigma = _light_path(w6, row[:, None, :], col[..., None, :, :],
                                 lead + (p, q, r, c), mode, layout, params, fit,

@@ -239,20 +239,6 @@ def eodac_power(total_bits: int, segment_bits: list[int] | tuple[int, ...],
     return sum(edac_power(b, f_ghz, params) for b in segs)
 
 
-def eodac_segment_lengths(segment_bits: list[int] | tuple[int, ...]) -> list[int]:
-    """Relative modulator-segment lengths for a binary-weighted eoDAC.
-
-    Segments are listed LSB first; each carries 2^(bits below it) units of
-    length so the optical weights realize the binary code (e.g. [3, 3] ->
-    lengths [1, 8]).
-    """
-    lengths, below = [], 0
-    for b in segment_bits:
-        lengths.append(2 ** below)
-        below += int(b)
-    return lengths
-
-
 def adc_power(bits: int, f_ghz: float,
               params: DeviceParams = DeviceParams()) -> float:
     """Power (mW) of one ADC channel: p0 * bits * f_ghz."""

@@ -166,24 +166,25 @@ class DstSchedule:
     """Cosine-decayed prune/grow schedule, in mask-update (epoch) units."""
 
     alpha0: float = 0.5
-    delta_t: int = 1          # epochs between mask updates
     t_end: int = 32           # epoch at which exploration stops
     delta_m: int = 2          # extra candidates beyond the required count
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha0 <= 1.0:
             raise DeviceModelError("alpha0 must be in (0, 1]")
-        if self.delta_t < 1 or self.t_end < 1:
-            raise DeviceModelError("delta_t and t_end must be >= 1")
+        if self.t_end < 1:
+            raise DeviceModelError("t_end must be >= 1")
         if self.delta_m < 0:
-            raise DeviceModelError("delta_m must be >= 0")
+            raise DeviceModelError("delta_m (the pool margin) must be >= 0")
 
     @classmethod
     def for_epochs(cls, epochs: int, alpha0: float = 0.5,
                    t_end_frac: float = 0.8, delta_m: int = 2) -> "DstSchedule":
         if epochs < 1:
             raise DeviceModelError("epochs must be >= 1")
-        return cls(alpha0=alpha0, delta_t=1,
+        if not 0.0 < t_end_frac <= 1.0:
+            raise DeviceModelError("t_end_frac must be in (0, 1]")
+        return cls(alpha0=alpha0,
                    t_end=max(1, round_half_up(t_end_frac * epochs)),
                    delta_m=delta_m)
 

@@ -93,12 +93,8 @@ def run_sweep(cfg: Config, threads: int = 1) -> dict:
     carrying an ``error`` string; the minimum-PAP flag considers only the
     points that evaluated.
     """
-    points = cfg.sweep.grid()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda pt: _sweep_point(cfg, pt), points))
-    else:
-        rows = [_sweep_point(cfg, pt) for pt in points]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(lambda pt: _sweep_point(cfg, pt), cfg.sweep.grid()))
 
     best = None
     for i, row in enumerate(rows):

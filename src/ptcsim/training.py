@@ -168,11 +168,11 @@ def train(model: Sequential, sparse_layers: list[int], data: tuple,
           meta: dict | None = None) -> TrainResult:
     """Quantization-aware dynamic sparse training (density target ``s``).
 
-    ``data`` is (x_train, y_train, x_test, y_test).  Masks update once per
-    ``schedule.delta_t`` epochs until ``schedule.t_end``; with s >= 0.5 the
-    column masks are full and there is nothing to explore, so training
-    reduces to fixed-row-mask quantization-aware training.  Aborts with a
-    diagnostic if the loss stops being finite.
+    ``data`` is (x_train, y_train, x_test, y_test).  Masks update after
+    every epoch before ``schedule.t_end``; with s >= 0.5 the column masks
+    are full and there is nothing to explore, so training reduces to
+    fixed-row-mask quantization-aware training.  Aborts with a diagnostic
+    if the loss stops being finite.
     """
     x_train, y_train, x_test, y_test = data
     masks: dict[int, SparsityMask] = {}
@@ -213,7 +213,7 @@ def train(model: Sequential, sparse_layers: list[int], data: tuple,
             loss_sum += loss
             n_batches += 1
 
-        if t < schedule.t_end and t % schedule.delta_t == 0:
+        if t < schedule.t_end:
             for idx in sparse_layers:
                 if not explore[idx]:
                     continue

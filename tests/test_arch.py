@@ -1,4 +1,4 @@
-"""Accelerator-level power, area, energy and cycle models.
+"""Accelerator-level power, area and energy models.
 
 The dense power and floorplan formulas are recomputed here from first
 principles (device constants in, closed form out) so the architecture
@@ -14,10 +14,10 @@ import pytest
 from ptcsim.arch import (
     ArchConfig,
     AreaBreakdown,
+    ColumnPowerModel,
     PowerBreakdown,
     area,
     chunk_power,
-    cycles_for_layer,
     energy,
     pap,
     power,
@@ -78,12 +78,23 @@ def test_dense_power_closed_form():
     assert pb.total_mw / 1e3 == pytest.approx(20.58, abs=5e-3)
 
 
+def _one_chunk(arch, row=None, col=None, weights=None,
+               mode=ExecutionMode.PRUNE_ONLY, output_gating=True):
+    """One chunk's power breakdown from a one-chunk ColumnPowerModel."""
+    row = np.ones((arch.r, arch.k1), dtype=bool) if row is None else row
+    col = np.ones((arch.c, arch.k2), dtype=bool) if col is None else col
+    w6 = None if weights is None else weights[None, None]
+    model = ColumnPowerModel(row, w6, arch, DEV, LAY, mode=mode,
+                             output_gating=output_gating)
+    return model.breakdown(col[None, None])
+
+
 def test_chunk_power_explicit_weights():
     # All weights equal w0: the MZI term is exactly n_alive * P(asin w0).
     desk = ArchConfig(R=2, C=2, k1=4, k2=4, r=2, c=2)
     w0 = 0.6
     w = np.full((desk.r, desk.c, desk.k1, desk.k2), w0)
-    pb = chunk_power(desk, DEV, LAY, weights=w)
+    pb = _one_chunk(desk, weights=w)
     per_mzi = (math.asin(w0) / math.pi) * DEV.p_pi_mw / (1.0 - GAMMA_9)
     n_nodes = desk.r * desk.c * desk.k1 * desk.k2
     assert pb.weight_mw == pytest.approx(
@@ -98,12 +109,9 @@ def test_gating_semantics_by_mode():
               + edac_power(desk.b_in, desk.f_ghz, DEV))
     p_read = DEV.p_tia_mw + adc_power(desk.b_o, desk.f_ghz, DEV)
 
-    po = chunk_power(desk, DEV, LAY, row_mask=row, col_mask=col,
-                     mode=ExecutionMode.PRUNE_ONLY)
-    ig = chunk_power(desk, DEV, LAY, row_mask=row, col_mask=col,
-                     mode=ExecutionMode.INPUT_GATING)
-    lr = chunk_power(desk, DEV, LAY, row_mask=row, col_mask=col,
-                     mode=ExecutionMode.INPUT_GATING_LR)
+    po = _one_chunk(desk, row, col, mode=ExecutionMode.PRUNE_ONLY)
+    ig = _one_chunk(desk, row, col, mode=ExecutionMode.INPUT_GATING)
+    lr = _one_chunk(desk, row, col, mode=ExecutionMode.INPUT_GATING_LR)
 
     # Inputs power off only once gating is on.
     assert po.input_mw == pytest.approx(desk.c * desk.k2 * p_chan, rel=1e-12)
@@ -116,24 +124,13 @@ def test_gating_semantics_by_mode():
     assert ig.weight_mw - lr.weight_mw == pytest.approx(pd_all - pd_lit, rel=1e-12)
     # Output gating trims readout channels; disabling it restores them all.
     assert po.readout_mw == pytest.approx(6 * p_read, rel=1e-12)
-    raw = chunk_power(desk, DEV, LAY, row_mask=row, col_mask=col,
-                      output_gating=False)
+    raw = _one_chunk(desk, row, col, output_gating=False)
     assert raw.readout_mw == pytest.approx(desk.r * desk.k1 * p_read, rel=1e-12)
     # Only redistribution drives the splitter tree.
     assert po.rerouter_mw == 0.0 and ig.rerouter_mw == 0.0
     expected_rr = sum(rerouter_configure(col[ci], LAY.l_s_um, DEV).total_power_mw
                       for ci in range(desk.c))
     assert lr.rerouter_mw == pytest.approx(expected_rr, rel=1e-12)
-
-
-def test_column_mask_must_agree_across_shared_inputs():
-    desk = ArchConfig(R=2, C=2, k1=4, k2=4, r=2, c=2)
-    col = np.ones((desk.r, desk.c, desk.k2), dtype=bool)
-    col[1, 0, 0] = False   # the two cores fed by one module disagree
-    with pytest.raises(DeviceModelError, match="shared channels"):
-        chunk_power(desk, DEV, LAY, col_mask=col)
-    col[1, 0, 0] = True
-    assert chunk_power(desk, DEV, LAY, col_mask=col).total_mw > 0
 
 
 def test_power_scales_chunk_by_resident_slots():
@@ -171,24 +168,12 @@ def test_eodac_swaps_power_and_area():
     assert ab_eo.total_mm2 - ab_e.total_mm2 == pytest.approx(extra, rel=1e-9)
 
 
-def test_cycles_for_layer():
-    assert cycles_for_layer(64, 64, 10, ARCH) == 10
-    assert cycles_for_layer(65, 64, 10, ARCH) == 20
-    assert cycles_for_layer(100, 130, 7, ARCH) == 2 * 3 * 7
-    with pytest.raises(DeviceModelError):
-        cycles_for_layer(0, 64, 10, ARCH)
-
-
 def test_energy_oracle():
     # 1000 mW for 5 cycles plus 500 mW for 5 cycles at 5 GHz:
     # 1500 pJ over 2 ns = 0.75 W average.
     e_mj, p_w = energy(5.0, [(1000.0, 5), (500.0, 5)])
     assert e_mj == pytest.approx(1.5e-6, rel=1e-12)
     assert p_w == pytest.approx(0.75, rel=1e-12)
-    # PowerBreakdown entries and labelled tuples are accepted too.
-    pb = PowerBreakdown(1000.0, 0.0, 0.0, 0.0)
-    e2, p2 = energy(5.0, [("conv1", 0, pb, 5), ("fc", 1, 500.0, 5)])
-    assert (e2, p2) == (e_mj, p_w)
     with pytest.raises(DeviceModelError):
         energy(5.0, [])
     with pytest.raises(DeviceModelError):

@@ -1,10 +1,12 @@
 """CLI behavior: files written, exit codes, and deterministic reruns."""
 
+import dataclasses
 import json
 
 import pytest
 
 from ptcsim.cli import build_parser, main
+from ptcsim.config import DstConfig
 
 
 def _run(tmp_path, *argv):
@@ -137,6 +139,43 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.json"), "validate"]) == 1
     err = capsys.readouterr().err
     assert err.count("config error") == 3
+    # DST settings: an unknown key, a value the schedule rejects, and
+    # train's flag overrides, which obey the same rules as the file.
+    dst_seed, alpha0 = tmp_path / "dst_seed.json", tmp_path / "alpha0.json"
+    dst_seed.write_text('{"dst": {"seed": 1}}')
+    alpha0.write_text('{"dst": {"alpha0": 0}}')
+    for argv in (("--config", str(dst_seed), "validate"),
+                 ("--config", str(alpha0), "validate"),
+                 ("train", "--dataset", "blobs", "--density", "1.5"),
+                 ("train", "--dataset", "blobs", "--epochs", "0")):
+        code, out = _run(tmp_path, *argv)
+        assert code == 1, argv
+        assert capsys.readouterr().err.startswith("config error:"), argv
+        assert not (out / "checkpoint.json").exists()
+
+
+def test_every_dst_setting_reaches_training(tmp_path, monkeypatch):
+    """No dead settings: each non-default dst value reaches train or its
+    schedule."""
+    dst = {"density": 0.3, "epochs": 6, "batch_size": 17, "lr": 0.005,
+           "alpha0": 0.7, "t_end_frac": 0.5, "pool_margin": 3}
+    defaults = DstConfig()
+    assert all(getattr(defaults, k) != v for k, v in dst.items())
+    assert set(dst) == {f.name for f in dataclasses.fields(DstConfig)}
+    seen = {}
+
+    def fake_train(*args, **kwargs):
+        seen.update(kwargs)
+        raise RuntimeError("stop after capturing the arguments")
+
+    monkeypatch.setattr("ptcsim.cli.train", fake_train)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dst": dst}))
+    assert _run(tmp_path, "--config", str(cfg), "train", "--dataset", "blobs")[0] == 2
+    schedule = seen["schedule"]
+    assert (seen["s"], seen["epochs"], seen["batch_size"], seen["lr"]) == (
+        0.3, 6, 17, 0.005)
+    assert (schedule.alpha0, schedule.t_end, schedule.delta_m) == (0.7, 3, 3)
 
 
 def test_runtime_failures_exit_two(tmp_path, capsys):

@@ -65,6 +65,8 @@ def test_unknown_names_are_hard_errors(tmp_path):
         load_config(_write(tmp_path, {"device": {"nope": 1}}))
     with pytest.raises(ConfigError, match="must be a JSON object"):
         load_config(_write(tmp_path, {"arch": [1, 2]}))
+    with pytest.raises(ConfigError, match="unknown key 'dst.seed'"):
+        load_config(_write(tmp_path, {"dst": {"seed": 1}}))
 
 
 def test_type_and_value_errors(tmp_path):
@@ -166,7 +168,7 @@ def test_resolve_seed_precedence():
 
 def test_dst_config_bounds():
     for bad in ({"density": 1.5}, {"epochs": 0}, {"batch_size": 0},
-                {"lr": 0.0}, {"alpha0": -0.1}, {"t_end_frac": 0.0},
-                {"pool_margin": -1}):
+                {"lr": 0.0}, {"alpha0": 0.0}, {"alpha0": 1.5},
+                {"t_end_frac": 0.0}, {"t_end_frac": 1.5}, {"pool_margin": -1}):
         with pytest.raises(ConfigError):
             DstConfig(**bad)

@@ -305,6 +305,16 @@ def test_input_validation():
                      layout=LAY)
 
 
+def test_batch_rejects_leading_dims_that_do_not_broadcast():
+    rng = derive_rng(37)
+    w = rng.uniform(-1.0, 1.0, size=(2, 3, 4))
+    x = rng.uniform(0.0, 1.0, size=(3, 4, 5))
+    col = np.ones((2, 4), dtype=bool)
+    with pytest.raises(DeviceModelError,
+                       match=r"do not broadcast: x \(3,\), w \(2,\)"):
+        simulate_mvm_batch(x, w, np.ones(3, bool), col, ExecutionMode.PRUNE_ONLY, LAY)
+
+
 def test_extinction_ratio_controls_the_leakage_floor():
     dev30 = dataclasses.replace(QUIET, extinction_ratio_db=30.0)
     w = np.array([[0.5, 0.3]])
@@ -425,6 +435,14 @@ def test_layer_rejects_mismatched_partitions():
         simulate_layer(x, w6, row, col[:, :1], **run)
     with pytest.raises(DeviceModelError, match="does not fit"):
         simulate_layer(x, w6, row, col[0, 0], **run)
+
+
+def test_layer_rejects_leading_dims_that_do_not_broadcast():
+    w6, x, row, col = _layer_operands(63, n_seeds=2)
+    with pytest.raises(DeviceModelError,
+                       match=r"do not broadcast: x \(3,\), col_mask \(2,\)"):
+        simulate_layer(np.concatenate([x, x[:1]]), w6, row, col,
+                       ExecutionMode.PRUNE_ONLY, LAY, QUIET)
 
 
 # ---------------------------------------------------------------------------

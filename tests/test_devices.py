@@ -19,7 +19,6 @@ from ptcsim.devices import (
     adc_power,
     edac_power,
     eodac_power,
-    eodac_segment_lengths,
     gamma,
     leakage_transmission,
     mzi_power,
@@ -210,12 +209,6 @@ def test_eodac_validation():
         eodac_power(6, (), 5.0)
     with pytest.raises(DeviceModelError):
         eodac_power(6, (6, 0), 5.0)
-
-
-def test_eodac_segment_lengths():
-    assert eodac_segment_lengths((3, 3)) == [1, 8]
-    assert eodac_segment_lengths((2, 2, 2)) == [1, 4, 16]
-    assert eodac_segment_lengths((6,)) == [1]
 
 
 def test_adc_power_oracle():

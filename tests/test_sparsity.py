@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ptcsim.arch import ArchConfig, chunk_power
+from ptcsim.arch import UNIFORM_MEAN_PHASE_RAD, ArchConfig
 from ptcsim.core import ExecutionMode
 from ptcsim.devices import DeviceModelError, DeviceParams
 from ptcsim.layout import LayoutParams
@@ -183,6 +183,9 @@ def test_schedule_for_epochs_and_validation():
         DstSchedule(delta_m=-1)
     with pytest.raises(DeviceModelError):
         DstSchedule.for_epochs(0)
+    for t_end_frac in (0.0, 1.5):
+        with pytest.raises(DeviceModelError, match="t_end_frac"):
+            DstSchedule.for_epochs(10, t_end_frac=t_end_frac)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +223,9 @@ def test_combinations_capped_edge_cases():
 # ---------------------------------------------------------------------------
 
 def test_column_power_model_matches_chunk_power_sum():
-    """The column-mask model must agree with summing the per-chunk power
-    (its one-chunk case) over all p*q chunks, in every mode, with output
-    gating on and off, and for the uniform-phase estimate (weights=None,
-    which prices one chunk)."""
+    """The p*q model must equal the sum of its one-chunk models, in every
+    mode and with output gating on and off; the uniform-phase estimate
+    (weights6=None) must price one chunk of weights at the mean phase."""
     arch = ArchConfig(R=2, C=2, k1=2, k2=4, r=2, c=1)
     rng = np.random.default_rng(11)
     w = rng.uniform(-1.0, 1.0, size=(7, 9))
@@ -232,22 +234,22 @@ def test_column_power_model_matches_chunk_power_sum():
     row = interleaved_ones(arch.chunk_rows, 3).reshape(arch.r, arch.k1)
     p, q = partition_dims(7, 9, arch)
     col = rng.random((p, q, arch.c, arch.k2)) < 0.6
+    w_mean = np.full((1, 1, arch.r, arch.c, arch.k1, arch.k2),
+                     np.sin(UNIFORM_MEAN_PHASE_RAD))
 
-    cases = itertools.product(ExecutionMode, (True, False),
-                              ((wn6, col), (None, col[:1, :1])))
-    for mode, output_gating, (weights6, cols) in cases:
-        model = ColumnPowerModel(row, weights6, arch, DEV, LAY, mode=mode,
-                                 output_gating=output_gating)
-        expected = 0.0
-        for pi in range(cols.shape[0]):
-            for qi in range(cols.shape[1]):
-                pb = chunk_power(arch, DEV, LAY,
-                                 weights=None if weights6 is None else weights6[pi, qi],
-                                 row_mask=row, col_mask=cols[pi, qi],
-                                 mode=mode, output_gating=output_gating)
-                expected += pb.total_mw
-        assert model.power(cols) == pytest.approx(expected, rel=1e-9)
-        assert model.breakdown(cols).total_mw == pytest.approx(expected, rel=1e-9)
+    for mode, output_gating in itertools.product(ExecutionMode, (True, False)):
+        kw = dict(mode=mode, output_gating=output_gating)
+        model = ColumnPowerModel(row, wn6, arch, DEV, LAY, **kw)
+        expected = sum(
+            ColumnPowerModel(row, wn6[pi:pi + 1, qi:qi + 1], arch, DEV, LAY,
+                             **kw).power(col[pi:pi + 1, qi:qi + 1])
+            for pi in range(p) for qi in range(q))
+        assert model.power(col) == pytest.approx(expected, rel=1e-9)
+        assert model.breakdown(col).total_mw == pytest.approx(expected, rel=1e-9)
+        uniform = ColumnPowerModel(row, None, arch, DEV, LAY, **kw)
+        assert uniform.power(col[:1, :1]) == pytest.approx(
+            ColumnPowerModel(row, w_mean, arch, DEV, LAY, **kw).power(col[:1, :1]),
+            rel=1e-12)
 
 
 def test_column_power_model_validation():

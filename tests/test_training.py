@@ -7,8 +7,8 @@ from ptcsim.core import ExecutionMode, derive_rng
 from ptcsim.data import load_dataset, synthetic_separable
 from ptcsim.devices import DeviceModelError, DeviceParams
 from ptcsim.layout import LayoutParams
-from ptcsim.nn import build_toy_mlp
-from ptcsim.sparsity import DstSchedule, init_masks
+from ptcsim.nn import build_desk_convnet, build_toy_mlp
+from ptcsim.sparsity import DstSchedule, init_masks, mask_power, partition
 from ptcsim.training import (
     DESK_ARCH,
     PhotonicBackend,
@@ -128,6 +128,26 @@ def test_sparser_masks_draw_less_power():
     p_full = model_power_w(model, {2: full}, DESK_ARCH, QUIET, LAY,
                            GammaFit(), x_probe)
     assert p_lean < p_full
+
+
+def test_model_power_weights_layers_by_chunk_cycles():
+    """A layer runs p*q chunks (its dimensions over the 8x8 chunk, rounded
+    up) once per im2col vector, and its chunk-mean power counts for that
+    many cycles."""
+    model, _ = build_desk_convnet(derive_rng(0, 10))
+    x = load_dataset("blobs", 0)[2]
+    # layer index: (p*q, vectors per 8x8 sample)
+    cycles = {0: (1 * 2, 64), 2: (2 * 9, 64), 5: (2 * 18, 16), 9: (2 * 8, 1)}
+    energy = n_cycles = 0.0
+    for idx, (chunks, vectors) in cycles.items():
+        w = model.layers[idx].w
+        mask = init_masks(1.0, *w.shape, DESK_ARCH, w, QUIET, LAY)
+        chunk_mw = mask_power(mask, partition(w, DESK_ARCH), DESK_ARCH,
+                              QUIET, LAY) / chunks
+        energy += chunk_mw * chunks * vectors
+        n_cycles += chunks * vectors
+    got = model_power_w(model, {}, DESK_ARCH, QUIET, LAY, GammaFit(), x)
+    assert got == pytest.approx(energy / n_cycles / 1e3, rel=1e-12)
 
 
 def test_apply_masks_zeroes_dead_weights():
