@@ -190,8 +190,8 @@ def rerouter_configure(col_mask, arm_spacing_um: float = 9.0,
 # noisy MVM
 # ---------------------------------------------------------------------------
 
-def _mvm_args(x, w, row_mask, col_mask, mode, rng):
-    """Arrays, mode and generator of a product call, range-checked."""
+def _mvm_args(x, w, row_mask, col_mask, rng):
+    """Arrays and generator of a product call, range-checked."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     row = np.asarray(row_mask, dtype=bool)
@@ -208,11 +208,18 @@ def _mvm_args(x, w, row_mask, col_mask, mode, rng):
         raise DeviceModelError(f"row mask must have {k1} entries")
     if col.shape[-1] != k2:
         raise DeviceModelError(f"column mask must have {k2} entries")
-    if not isinstance(mode, ExecutionMode):
-        mode = ExecutionMode.parse(str(mode))
     if not isinstance(rng, np.random.Generator):
         rng = derive_rng(0 if rng is None else rng)
-    return x, w, row, col, mode, rng
+    return x, w, row, col, rng
+
+
+def _readouts(readouts) -> list[tuple[ExecutionMode, bool]]:
+    """(mode, output_gating) pairs, modes parsed; at least one."""
+    pairs = [(m if isinstance(m, ExecutionMode) else ExecutionMode.parse(str(m)),
+              bool(og)) for m, og in readouts]
+    if not pairs:
+        raise DeviceModelError("readouts must name at least one (mode, output_gating) pair")
+    return pairs
 
 
 def _batch_shape(**leads) -> tuple[int, ...]:
@@ -224,15 +231,15 @@ def _batch_shape(**leads) -> tuple[int, ...]:
             f"{name} {shape}" for name, shape in leads.items())) from None
 
 
-def _light_path(w, row, col, cores, mode, layout, params, fit, rng,
-                output_gating, coupling_free):
-    """Folded weights and per-output detector sigma of a batch of cores.
+def _realize(w, row, col, cores, layout, params, fit, rng, coupling_free):
+    """Realized weights of a batch of cores, before any readout.
 
     Pruned MZIs drive zero phase: they aggress nobody but still receive
     crosstalk, which runs once per distinct mapping (the leading dimensions
     of ``w``, ``row`` and ``col``); phase noise is drawn once per core over
-    ``cores``.  Each mode's input side and readout fold into the weights, so
-    a core computes ``w_fold @ x + sigma * N(0, 1)``.
+    ``cores``; a powered-off weight keeps the extinction-ratio floor.  No
+    step depends on the mode or on output gating, so one realization serves
+    every readout of :func:`_fold`.
     """
     alive = row[..., :, None] & col[..., None, :]
     phases = weight_to_phase(np.where(alive, w, 0.0))
@@ -241,15 +248,26 @@ def _light_path(w, row, col, cores, mode, layout, params, fit, rng,
     if params.phase_noise_sigma_rad > 0:
         phases = phases + rng.normal(0.0, params.phase_noise_sigma_rad,
                                      size=cores + w.shape[-2:])
-    w_fold = phase_to_weight(phases)
+    w_real = phase_to_weight(phases)
 
     # Extinction-ratio floor: a powered-off weight cannot sit closer to zero
     # than the leakage transmission.
     tau = leakage_transmission(params)
-    small = ~alive & (np.abs(w_fold) < tau)
-    np.copyto(w_fold, np.where(w_fold >= 0, tau, -tau), where=small)
+    small = ~alive & (np.abs(w_real) < tau)
+    np.copyto(w_real, np.where(w_real >= 0, tau, -tau), where=small)
+    return w_real
 
-    sigma = np.full(row.shape, params.pd_noise_sigma * math.sqrt(w.shape[-1]))
+
+def _fold(w_real, row, col, mode, output_gating, params, in_place):
+    """One readout of realized weights: folded weights and per-output sigma.
+
+    Each mode's input side and readout fold into the weights, so a core
+    computes ``w_fold @ x + sigma * N(0, 1)``.  The fold writes into
+    ``w_real`` when ``in_place``, else into a copy.
+    """
+    w_fold = w_real if in_place else w_real.copy()
+    tau = leakage_transmission(params)
+    sigma = np.full(row.shape, params.pd_noise_sigma * math.sqrt(w_real.shape[-1]))
     if mode.redistributes:  # boost k2/k2' times readout gain k2'/k2 is 1
         np.copyto(w_fold, 0.0, where=~col[..., None, :])
         sigma = sigma * col.mean(axis=-1, keepdims=True)
@@ -276,33 +294,39 @@ def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
     vector, sigma = sigma_pd*sqrt(k2) (k2 nodes summed along an output
     column) times k2'/k2 under redistribution, 0 on gated rows.
     """
-    x, w, row, col, mode, rng = _mvm_args(x, w, row_mask, col_mask, mode, rng)
+    x, w, row, col, rng = _mvm_args(x, w, row_mask, col_mask, rng)
+    [(mode, output_gating)] = _readouts([(mode, output_gating)])
     cores = _batch_shape(x=x.shape[:-2], w=w.shape[:-2], row_mask=row.shape[:-1],
                          col_mask=col.shape[:-1])
-    w_fold, sigma = _light_path(w, row, col, cores, mode, layout, params, fit,
-                                rng, output_gating, coupling_free)
+    w_real = _realize(w, row, col, cores, layout, params, fit, rng, coupling_free)
+    w_fold, sigma = _fold(w_real, row, col, mode, output_gating, params,
+                          in_place=True)
     y = w_fold @ x
     if params.pd_noise_sigma > 0:
         y += sigma[..., None] * rng.standard_normal(y.shape)
     return y
 
 
-def simulate_layer(x, w6, row_mask, col_mask, mode: ExecutionMode,
-                   layout: LayoutParams,
-                   params: DeviceParams = DeviceParams(),
-                   fit: GammaFit = GammaFit(),
-                   rng: np.random.Generator | int | None = 0,
-                   output_gating: bool = True,
-                   coupling_free: bool = False) -> np.ndarray:
-    """One mapped layer's noisy product, every chunk and core in one pass.
+def simulate_layer_readouts(x, w6, row_mask, col_mask, readouts,
+                            layout: LayoutParams,
+                            params: DeviceParams = DeviceParams(),
+                            fit: GammaFit = GammaFit(),
+                            rng: np.random.Generator | int | None = 0,
+                            coupling_free: bool = False) -> list[np.ndarray]:
+    """One mapped layer's noisy product under several readouts.
 
     ``w6`` is the (p, q, r, c, k1, k2) weight partition, ``x`` (..., q, c,
-    k2, m), ``row_mask`` (r, k1), ``col_mask`` (..., p, q, c, k2).  Cores
-    take the light path of :func:`simulate_mvm_batch` and one contraction
-    over (q, c, k2) gives (..., p*r*k1, m); detector noise is one normal per
-    output and vector, of variance sum_{q,c} sigma^2 (per-core normals summed).
+    k2, m), ``row_mask`` (r, k1), ``col_mask`` (..., p, q, c, k2), and
+    ``readouts`` a sequence of (mode, output_gating) pairs.  The layer's
+    light path is realized once; each readout folds it and one contraction
+    over (q, c, k2) gives (..., p*r*k1, m).  Detector noise is one normal
+    per output and vector, of variance sum_{q,c} sigma^2 (per-core normals
+    summed); the normals are drawn once and scaled by each readout's sigma.
+    Returns one product per readout, each equal bit for bit to a
+    :func:`simulate_layer` call with an identically seeded generator.
     """
-    x, w6, row, col, mode, rng = _mvm_args(x, w6, row_mask, col_mask, mode, rng)
+    x, w6, row, col, rng = _mvm_args(x, w6, row_mask, col_mask, rng)
+    readouts = _readouts(readouts)
     if w6.ndim != 6:
         raise DeviceModelError("layer weights must be partitioned (p, q, r, c, k1, k2)")
     p, q, r, c, k1, k2 = w6.shape
@@ -313,17 +337,40 @@ def simulate_layer(x, w6, row_mask, col_mask, mode: ExecutionMode,
             f"{col.shape} does not fit the {w6.shape} partition")
     lead = _batch_shape(x=x.shape[:-4], col_mask=col.shape[:-4])
     # Masks aligned to the cores' (..., p, q, r, c) axes.
-    w_fold, sigma = _light_path(w6, row[:, None, :], col[..., None, :, :],
-                                lead + (p, q, r, c), mode, layout, params, fit,
-                                rng, output_gating, coupling_free)
-    w2d = np.moveaxis(w_fold, (-5, -3), (-3, -2)).reshape(
-        w_fold.shape[:-6] + (p * r * k1, q * c * k2))
-    y = w2d @ x.reshape(x.shape[:-4] + (q * c * k2, x.shape[-1]))
-    if params.pd_noise_sigma > 0:
-        var = np.broadcast_to(sigma ** 2, lead + (p, q, r, c, k1))
-        sd = np.sqrt(var.sum(axis=(-4, -2))).reshape(lead + (p * r * k1, 1))
-        y += sd * rng.standard_normal(y.shape)
-    return y
+    row, col = row[:, None, :], col[..., None, :, :]
+    w_real = _realize(w6, row, col, lead + (p, q, r, c), layout, params, fit,
+                      rng, coupling_free)
+    x2d = x.reshape(x.shape[:-4] + (q * c * k2, x.shape[-1]))
+    normals = None
+    ys = []
+    for i, (mode, output_gating) in enumerate(readouts):
+        w_fold, sigma = _fold(w_real, row, col, mode, output_gating, params,
+                              in_place=i == len(readouts) - 1)
+        y = np.moveaxis(w_fold, (-5, -3), (-3, -2)).reshape(
+            w_fold.shape[:-6] + (p * r * k1, q * c * k2)) @ x2d
+        del w_fold  # one folded array alive at a time
+        if params.pd_noise_sigma > 0:
+            var = np.broadcast_to(sigma ** 2, lead + (p, q, r, c, k1))
+            sd = np.sqrt(var.sum(axis=(-4, -2))).reshape(lead + (p * r * k1, 1))
+            if normals is None:
+                normals = rng.standard_normal(y.shape)
+            y += sd * normals
+        ys.append(y)
+    return ys
+
+
+def simulate_layer(x, w6, row_mask, col_mask, mode: ExecutionMode,
+                   layout: LayoutParams,
+                   params: DeviceParams = DeviceParams(),
+                   fit: GammaFit = GammaFit(),
+                   rng: np.random.Generator | int | None = 0,
+                   output_gating: bool = True,
+                   coupling_free: bool = False) -> np.ndarray:
+    """One mapped layer's noisy product, every chunk and core in one pass:
+    the one-readout case of :func:`simulate_layer_readouts`."""
+    return simulate_layer_readouts(x, w6, row_mask, col_mask,
+                                   [(mode, output_gating)], layout, params,
+                                   fit, rng, coupling_free)[0]
 
 
 def simulate_mvm(x, w, row_mask=None, col_mask=None,

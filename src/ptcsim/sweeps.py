@@ -21,8 +21,8 @@ import numpy as np
 from .arch import ArchConfig, ColumnPowerModel, area, pap, power
 from .config import Config, ConfigError, apply_overrides
 # simulate_mvm_batch: bound for bench/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
-from .core import (ExecutionMode, derive_rng, ideal_mvm, nmae, simulate_layer,
-                   simulate_mvm, simulate_mvm_batch)
+from .core import (ExecutionMode, derive_rng, ideal_mvm, nmae,
+                   simulate_layer_readouts, simulate_mvm, simulate_mvm_batch)
 from .devices import DeviceParams, GammaFit
 from .layout import LayoutParams
 from .sparsity import combinations_capped, interleaved_ones, partition, round_half_up
@@ -280,31 +280,30 @@ def run_progressive(cfg: Config, seed: int) -> dict:
 # noise / fidelity study
 
 
-def _nmae_block(w6: np.ndarray, x: np.ndarray, row: np.ndarray,
-                col, mode: ExecutionMode, output_gating: bool,
-                device: DeviceParams, layout: LayoutParams, fit: GammaFit,
-                rng: np.random.Generator) -> np.ndarray:
-    """Layer-level N-MAE for a block of seeds, one value per seed.
+def _nmae_block(w6: np.ndarray, x: np.ndarray, row: np.ndarray, col,
+                readouts, device: DeviceParams, layout: LayoutParams,
+                fit: GammaFit, rng: np.random.Generator) -> list[np.ndarray]:
+    """Layer-level N-MAE for a block of seeds, one array (one value per
+    seed) per (mode, output_gating) pair of ``readouts``.
 
     ``x`` is (S, q, c, k2, m); ``col`` is (S, q, c, k2), or None for dense
     columns, whose mask has no seed axis so that every seed shares one
-    crosstalk pass.  The reference masks rows in ``w6`` and columns in ``x``.
+    crosstalk pass.  The readouts share one realized light path.  The
+    reference masks rows in ``w6`` and columns in ``x``.
     """
     s_n, q, c, k2, m = x.shape
     p = w6.shape[0]
     col_b = (np.ones((1, q, c, k2), dtype=bool) if col is None
              else np.asarray(col, dtype=bool))
-    y = simulate_layer(
+    ys = simulate_layer_readouts(
         x, w6, row, np.broadcast_to(col_b[:, None], (len(col_b), p, q, c, k2)),
-        mode=mode, layout=layout, params=device, fit=fit, rng=rng,
-        output_gating=output_gating)
+        readouts, layout=layout, params=device, fit=fit, rng=rng)
 
     w2d = (w6 * row[:, None, :, None]).transpose(0, 2, 4, 1, 3, 5)
-    y_ref = (w2d.reshape(y.shape[1], q * c * k2)
+    y_ref = (w2d.reshape(ys[0].shape[1], q * c * k2)
              @ (x * col_b[..., None]).reshape(s_n, q * c * k2, m))
-    num = np.abs(y - y_ref).mean(axis=(1, 2))
     den = np.abs(y_ref).mean(axis=(1, 2))
-    return num / den
+    return [np.abs(y - y_ref).mean(axis=(1, 2)) / den for y in ys]
 
 
 def _one_sided_z(diffs: np.ndarray) -> dict:
@@ -326,8 +325,10 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
     half density) with and without output gating, columns dense.  Part two
     varies the column density and execution mode (prune-only, input
     gating, input gating + light redistribution) with dense rows and
-    output gating on.  All variants of a seed share the same activations
-    and noise draws, so differences are paired; ``comparisons`` holds
+    output gating on.  The variants of a seed share one realized light
+    path per row pattern (read with output gating off and on) and one per
+    column mask (read under every mode), and so the same activations and
+    noise draws; differences are paired, and ``comparisons`` holds
     one-sided z statistics for the headline orderings.
     """
     if n_seeds < 2:
@@ -353,6 +354,8 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
     }
     modes = (ExecutionMode.PRUNE_ONLY, ExecutionMode.INPUT_GATING,
              ExecutionMode.INPUT_GATING_LR)
+    gatings = [(ExecutionMode.PRUNE_ONLY, og) for og in (False, True)]
+    gated_modes = [(mode, True) for mode in modes]
 
     n_blocks = -(-n_seeds // block_size)
     sizes = [min(block_size, n_seeds - b * block_size) for b in range(n_blocks)]
@@ -368,11 +371,10 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
             x = derive_rng(seed, 41, ib).uniform(
                 0.0, 1.0, size=(s_n, q, c, k2, n_vectors))
             for pname, flat in patterns.items():
-                for og in (False, True):
-                    nm = _nmae_block(
-                        w6, x, flat.reshape(r, k1), None,
-                        ExecutionMode.PRUNE_ONLY, og, device, layout, fit,
-                        rng=derive_rng(seed, 40, ilg, ib))
+                nms = _nmae_block(
+                    w6, x, flat.reshape(r, k1), None, gatings, device, layout,
+                    fit, rng=derive_rng(seed, 40, ilg, ib))
+                for (_, og), nm in zip(gatings, nms):
                     per_variant.setdefault((pname, og), []).append(nm)
         variant_nmae = {key: np.concatenate(v) for key, v in per_variant.items()}
         for (pname, og), vals in variant_nmae.items():
@@ -400,11 +402,10 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
                 order = np.argsort(u, axis=-1)
                 col = np.zeros(u.shape, dtype=bool)
                 np.put_along_axis(col, order[..., :n_keep], True, axis=-1)
-                for mode in modes:
-                    nm = _nmae_block(
-                        w6, x, np.ones((r, k1), dtype=bool), col, mode, True,
-                        device, layout, fit,
-                        rng=derive_rng(seed, 44, ilg, di, ib))
+                nms = _nmae_block(
+                    w6, x, np.ones((r, k1), dtype=bool), col, gated_modes,
+                    device, layout, fit, rng=derive_rng(seed, 44, ilg, di, ib))
+                for mode, nm in zip(modes, nms):
                     per_mode.setdefault(mode.value, []).append(nm)
             mode_nmae = {key: np.concatenate(v) for key, v in per_mode.items()}
             for mode in modes:

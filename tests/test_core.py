@@ -16,6 +16,7 @@ from ptcsim.core import (
     rerouter_node_mw,
     rerouter_tree_mw,
     simulate_layer,
+    simulate_layer_readouts,
     simulate_mvm,
     simulate_mvm_batch,
 )
@@ -418,6 +419,48 @@ def test_layer_detector_noise_is_one_draw_per_output():
         expected = base * math.sqrt(float((gain ** 2).sum()))
         sd = y[:, row[0]].std(axis=(0, 2))
         assert sd == pytest.approx(np.full(2, expected), rel=0.03)
+
+
+ALL_READOUTS = [(mode, og) for mode in ExecutionMode for og in (False, True)]
+
+
+@pytest.mark.parametrize("seed_axis", [False, True])
+@pytest.mark.parametrize("coupling_free", [False, True])
+def test_readouts_equal_separate_layer_calls(coupling_free, seed_axis):
+    # One realization read out under every (mode, output gating) pair, in
+    # order and shuffled, equals separate simulate_layer calls with
+    # identically seeded generators bit for bit, phase and detector noise on.
+    w6, x, row, col = _layer_operands(64, n_seeds=2)
+    if not seed_axis:
+        col = col[:1]  # one column mask shared by both seeds
+    run = dict(layout=LAY, params=DeviceParams(),
+               coupling_free=coupling_free)
+    shuffled = [ALL_READOUTS[i]
+                for i in np.random.default_rng(5).permutation(len(ALL_READOUTS))]
+    assert shuffled != ALL_READOUTS
+    for readouts in (ALL_READOUTS, shuffled):
+        ys = simulate_layer_readouts(x, w6, row, col, readouts,
+                                     rng=derive_rng(65), **run)
+        assert len(ys) == len(readouts)
+        for (mode, og), y in zip(readouts, ys):
+            alone = simulate_layer(x, w6, row, col, mode, output_gating=og,
+                                   rng=derive_rng(65), **run)
+            assert np.array_equal(y, alone)
+    # Mode names parse like ExecutionMode members.
+    [named] = simulate_layer_readouts(x, w6, row, col, [("input_gating", True)],
+                                      rng=derive_rng(65), **run)
+    assert np.array_equal(named, simulate_layer(
+        x, w6, row, col, ExecutionMode.INPUT_GATING, rng=derive_rng(65), **run))
+
+
+def test_readouts_reject_empty_and_unknown_modes():
+    w6, x, row, col = _layer_operands(66, n_seeds=1)
+    with pytest.raises(DeviceModelError, match="at least one"):
+        simulate_layer_readouts(x, w6, row, col, [], LAY)
+    with pytest.raises(DeviceModelError, match="unknown execution mode"):
+        simulate_layer_readouts(x, w6, row, col,
+                                [(ExecutionMode.PRUNE_ONLY, True), ("turbo", True)],
+                                LAY)
 
 
 def test_layer_rejects_mismatched_partitions():

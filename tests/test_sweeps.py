@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import ptcsim.core
 from ptcsim.config import SweepSpec, load_config
 from ptcsim.core import ExecutionMode, derive_rng
 from ptcsim.devices import DeviceParams, GammaFit
@@ -180,14 +181,45 @@ def test_nmae_block_dense_columns_match_an_explicit_mask():
     x = rng.uniform(0.0, 1.0, size=(s_n, q, c, k2, m))
     row = np.array([[True, False, True, False], [True, True, True, False]])
     for og in (False, True):
-        args = (ExecutionMode.PRUNE_ONLY, og, CFG.device, CFG.layout,
+        args = ([(ExecutionMode.PRUNE_ONLY, og)], CFG.device, CFG.layout,
                 GammaFit())
-        dense = _nmae_block(w6, x, row, None, *args, rng=derive_rng(51))
-        ones = _nmae_block(w6, x, row, np.ones((s_n, q, c, k2), dtype=bool),
-                           *args, rng=derive_rng(51))
+        [dense] = _nmae_block(w6, x, row, None, *args, rng=derive_rng(51))
+        [ones] = _nmae_block(w6, x, row, np.ones((s_n, q, c, k2), dtype=bool),
+                             *args, rng=derive_rng(51))
         assert dense.shape == (s_n,)
         assert dense == pytest.approx(ones, rel=0, abs=1e-12)
         assert len(set(dense.tolist())) == s_n
+    # Both readouts of a single call agree too, and each equals its own call.
+    args = ([(ExecutionMode.PRUNE_ONLY, og) for og in (False, True)],
+            CFG.device, CFG.layout, GammaFit())
+    dense = _nmae_block(w6, x, row, None, *args, rng=derive_rng(51))
+    ones = _nmae_block(w6, x, row, np.ones((s_n, q, c, k2), dtype=bool),
+                       *args, rng=derive_rng(51))
+    assert len(dense) == len(ones) == 2
+    for og, d, o in zip((False, True), dense, ones):
+        assert d == pytest.approx(o, rel=0, abs=1e-12)
+        [alone] = _nmae_block(w6, x, row, None, [(ExecutionMode.PRUNE_ONLY, og)],
+                              CFG.device, CFG.layout, GammaFit(),
+                              rng=derive_rng(51))
+        assert np.array_equal(d, alone)
+
+
+def test_study_realizes_one_light_path_per_pattern_and_column_mask(monkeypatch):
+    # One l_g and one seed block: three row patterns and one column mask
+    # give 4 crosstalk passes, not one per variant (9).
+    calls = []
+    real = ptcsim.core.perturbed_phases
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ptcsim.core, "perturbed_phases", counting)
+    out = run_nmae_study(CFG, seed=0, n_seeds=3, n_vectors=2,
+                         l_g_values=(5.0,), col_densities=(0.25,),
+                         block_size=3)
+    assert len(out["rows"]) == 9
+    assert len(calls) == 4
 
 
 def test_one_sided_z_is_undefined_without_spread():
