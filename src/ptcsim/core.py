@@ -231,30 +231,38 @@ def _batch_shape(**leads) -> tuple[int, ...]:
             f"{name} {shape}" for name, shape in leads.items())) from None
 
 
-def _realize(w, row, col, cores, layout, params, fit, rng, coupling_free):
+def _phase_noise(shape, params: DeviceParams, rng: np.random.Generator):
+    """One phase-noise draw per MZI of ``shape``, or None when it is off."""
+    if params.phase_noise_sigma_rad > 0:
+        return rng.normal(0.0, params.phase_noise_sigma_rad, size=shape)
+    return None
+
+
+def _realize(w, row, col, noise, layout, params, fit, coupling_free):
     """Realized weights of a batch of cores, before any readout.
 
     Pruned MZIs drive zero phase: they aggress nobody but still receive
     crosstalk, which runs once per distinct mapping (the leading dimensions
-    of ``w``, ``row`` and ``col``); phase noise is drawn once per core over
-    ``cores``; a powered-off weight keeps the extinction-ratio floor.  No
-    step depends on the mode or on output gating, so one realization serves
-    every readout of :func:`_fold`.
+    of ``w``, ``row`` and ``col``); ``noise`` (from :func:`_phase_noise`,
+    one draw per core) is added after it; a powered-off weight keeps the
+    extinction-ratio floor.  No step depends on the mode or on output
+    gating, so one realization serves every readout of :func:`_fold`.
     """
     alive = row[..., :, None] & col[..., None, :]
     phases = weight_to_phase(np.where(alive, w, 0.0))
     if not coupling_free:
         phases = perturbed_phases(phases, layout, fit)
-    if params.phase_noise_sigma_rad > 0:
-        phases = phases + rng.normal(0.0, params.phase_noise_sigma_rad,
-                                     size=cores + w.shape[-2:])
+    if noise is not None:
+        phases = phases + noise
     w_real = phase_to_weight(phases)
 
     # Extinction-ratio floor: a powered-off weight cannot sit closer to zero
-    # than the leakage transmission.
+    # than the leakage transmission; it keeps its sign (0 counts as +).
     tau = leakage_transmission(params)
-    small = ~alive & (np.abs(w_real) < tau)
-    np.copyto(w_real, np.where(w_real >= 0, tau, -tau), where=small)
+    small = ~alive & (w_real < tau) & (w_real > -tau)
+    up = w_real >= 0
+    np.copyto(w_real, tau, where=small & up)
+    np.copyto(w_real, -tau, where=small & ~up)
     return w_real
 
 
@@ -298,7 +306,8 @@ def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
     [(mode, output_gating)] = _readouts([(mode, output_gating)])
     cores = _batch_shape(x=x.shape[:-2], w=w.shape[:-2], row_mask=row.shape[:-1],
                          col_mask=col.shape[:-1])
-    w_real = _realize(w, row, col, cores, layout, params, fit, rng, coupling_free)
+    noise = _phase_noise(cores + w.shape[-2:], params, rng)
+    w_real = _realize(w, row, col, noise, layout, params, fit, coupling_free)
     w_fold, sigma = _fold(w_real, row, col, mode, output_gating, params,
                           in_place=True)
     y = w_fold @ x
@@ -312,7 +321,7 @@ def simulate_layer_readouts(x, w6, row_mask, col_mask, readouts,
                             params: DeviceParams = DeviceParams(),
                             fit: GammaFit = GammaFit(),
                             rng: np.random.Generator | int | None = 0,
-                            coupling_free: bool = False) -> list[np.ndarray]:
+                            coupling_free: bool = False) -> list:
     """One mapped layer's noisy product under several readouts.
 
     ``w6`` is the (p, q, r, c, k1, k2) weight partition, ``x`` (..., q, c,
@@ -324,39 +333,51 @@ def simulate_layer_readouts(x, w6, row_mask, col_mask, readouts,
     summed); the normals are drawn once and scaled by each readout's sigma.
     Returns one product per readout, each equal bit for bit to a
     :func:`simulate_layer` call with an identically seeded generator.
+
+    Several row masks of the layer, stacked as ``row_mask`` (g, r, k1),
+    share one draw of the phase noise and one of the detector normals.
+    They are realized one after another, one realization alive at a time,
+    and the result is one list of products per mask, each equal bit for
+    bit to a call with that mask alone and an identically seeded
+    generator.
     """
     x, w6, row, col, rng = _mvm_args(x, w6, row_mask, col_mask, rng)
     readouts = _readouts(readouts)
     if w6.ndim != 6:
         raise DeviceModelError("layer weights must be partitioned (p, q, r, c, k1, k2)")
     p, q, r, c, k1, k2 = w6.shape
-    if (x.shape[-4:-1], row.shape, col.shape[-4:]) != ((q, c, k2), (r, k1),
-                                                        (p, q, c, k2)):
+    if (row.ndim not in (2, 3)
+            or (x.shape[-4:-1], row.shape[-2:], col.shape[-4:])
+            != ((q, c, k2), (r, k1), (p, q, c, k2))):
         raise DeviceModelError(
             f"inputs {x.shape}, row mask {row.shape} or column mask "
             f"{col.shape} does not fit the {w6.shape} partition")
     lead = _batch_shape(x=x.shape[:-4], col_mask=col.shape[:-4])
-    # Masks aligned to the cores' (..., p, q, r, c) axes.
-    row, col = row[:, None, :], col[..., None, :, :]
-    w_real = _realize(w6, row, col, lead + (p, q, r, c), layout, params, fit,
-                      rng, coupling_free)
+    noise = _phase_noise(lead + w6.shape, params, rng)
+    normals = (rng.standard_normal(lead + (p * r * k1, x.shape[-1]))
+               if params.pd_noise_sigma > 0 else None)
     x2d = x.reshape(x.shape[:-4] + (q * c * k2, x.shape[-1]))
-    normals = None
-    ys = []
-    for i, (mode, output_gating) in enumerate(readouts):
-        w_fold, sigma = _fold(w_real, row, col, mode, output_gating, params,
-                              in_place=i == len(readouts) - 1)
-        y = np.moveaxis(w_fold, (-5, -3), (-3, -2)).reshape(
-            w_fold.shape[:-6] + (p * r * k1, q * c * k2)) @ x2d
-        del w_fold  # one folded array alive at a time
-        if params.pd_noise_sigma > 0:
-            var = np.broadcast_to(sigma ** 2, lead + (p, q, r, c, k1))
-            sd = np.sqrt(var.sum(axis=(-4, -2))).reshape(lead + (p * r * k1, 1))
-            if normals is None:
-                normals = rng.standard_normal(y.shape)
-            y += sd * normals
-        ys.append(y)
-    return ys
+    col = col[..., None, :, :]  # aligned to the cores' (..., p, q, r, c) axes
+    groups = []
+    for rows in row.reshape((-1, r, k1)):
+        rows = rows[:, None, :]
+        w_real = _realize(w6, rows, col, noise, layout, params, fit,
+                          coupling_free)
+        ys = []
+        for i, (mode, output_gating) in enumerate(readouts):
+            w_fold, sigma = _fold(w_real, rows, col, mode, output_gating,
+                                  params, in_place=i == len(readouts) - 1)
+            y = np.moveaxis(w_fold, (-5, -3), (-3, -2)).reshape(
+                w_fold.shape[:-6] + (p * r * k1, q * c * k2)) @ x2d
+            del w_fold  # one folded array alive at a time
+            if normals is not None:
+                var = np.broadcast_to(sigma ** 2, lead + (p, q, r, c, k1))
+                sd = np.sqrt(var.sum(axis=(-4, -2))).reshape(lead + (p * r * k1, 1))
+                y += sd * normals
+            ys.append(y)
+        del w_real  # one realization alive at a time
+        groups.append(ys)
+    return groups if row.ndim == 3 else groups[0]
 
 
 def simulate_layer(x, w6, row_mask, col_mask, mode: ExecutionMode,

@@ -101,7 +101,8 @@ def weight_to_phase(weight):
     w = np.asarray(weight, dtype=float)
     if not np.all((-1.0 <= w) & (w <= 1.0)):
         raise DeviceModelError("weights must lie in [-1, 1]")
-    out = -np.arcsin(w)
+    out = np.arcsin(w, out=np.empty_like(w))
+    np.negative(out, out=out)  # in place: one array, not two
     if np.ndim(weight) == 0:
         return float(out)
     return out
@@ -115,7 +116,8 @@ def phase_to_weight(delta_phi_rad):
     pushed outside [-pi/2, pi/2] by crosstalk simply wrap through the sine.
     """
     phi = np.asarray(delta_phi_rad, dtype=float)
-    out = -np.sin(phi)
+    out = np.sin(phi, out=np.empty_like(phi))
+    np.negative(out, out=out)  # in place: one array, not two
     if np.ndim(delta_phi_rad) == 0:
         return float(out)
     return out

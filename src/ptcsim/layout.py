@@ -11,6 +11,17 @@ aggressor's phase.
 Crosstalk is aggregated linearly: the victim's differential phase picks up
 (gamma(d_up) - gamma(d_lo)) * |dphi_aggressor| from every other MZI in the
 same core.  Cores on different tiles are treated as thermally isolated.
+
+A coupling depends only on the (row, column) offset between aggressor and
+victim, so :func:`perturbed_phases` applies it as a row-band kernel: one
+k1 x k1 Toeplitz matrix per aggressor sign and row offset dr, applied along
+k1, for |dr| <= B.  The band B is the smallest for which the couplings it
+drops, summed over any one victim, stay under ``CROSSTALK_FLOOR`` rad per
+rad of the largest aggressor phase (B = 0 at the default 120 um row
+pitch), so the kernel equals the full sum to within ``CROSSTALK_FLOOR *
+max|dphi|`` for any geometry and needs O(B k1^2) memory, not O(k1^2 k2^2).
+The dense (k1*k2)^2 tables of :func:`coupling_matrices` are the test
+oracle and the source of ``ptcsim report --dump-coupling``.
 """
 
 from __future__ import annotations
@@ -22,6 +33,10 @@ from functools import lru_cache
 import numpy as np
 
 from .devices import DeviceModelError, GammaFit, gamma
+
+# Crosstalk the row band may drop, in rad per rad of the largest aggressor
+# phase, summed over one victim (see row_kernels).
+CROSSTALK_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,34 +89,77 @@ def aggressor_distances(victim: int, aggressor: int, sign_aggressor: float,
     return d_up, d_lo
 
 
-@lru_cache(maxsize=64)
-def coupling_matrices(k1: int, k2: int, layout: LayoutParams,
-                      fit: GammaFit = GammaFit()) -> tuple[np.ndarray, np.ndarray]:
-    """Precomputed (victim, aggressor) coupling tables for one core.
-
-    Returns ``(g_pos, g_neg)``, each (k1*k2, k1*k2): entry [i, j] is
-    gamma(d_up) - gamma(d_lo) from aggressor j onto victim i when the
-    aggressor's phase is non-negative (g_pos) or negative (g_neg).
-    Diagonals are zero.  Cached per (k1, k2, layout, fit).
-    """
-    n = k1 * k2
-    idx = np.arange(n)
-    col = idx // k2
-    row = idx % k2
-    vert = (row[None, :] - row[:, None]) * layout.l_v_um
-    horiz = (col[None, :] - col[:, None]) * layout.l_h_um
+def _offset_couplings(d_rows, d_cols, layout: LayoutParams, fit: GammaFit):
+    """(g_pos, g_neg) for aggressors ``d_rows`` rows and ``d_cols`` columns
+    from the victim: gamma(d_up) - gamma(d_lo) for a non-negative and a
+    negative aggressor phase.  Self-coupling (0, 0) is not zeroed here."""
+    vert = d_rows * layout.l_v_um
+    horiz = d_cols * layout.l_h_um
 
     def g(offset):
         return gamma(np.hypot(vert, horiz + offset), fit)
 
     base = g(0.0)
-    g_pos = base - g(+layout.l_s_um)
-    g_neg = g(-layout.l_s_um) - base
+    return base - g(+layout.l_s_um), g(-layout.l_s_um) - base
+
+
+@lru_cache(maxsize=64)
+def coupling_matrices(k1: int, k2: int, layout: LayoutParams,
+                      fit: GammaFit = GammaFit()) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (victim, aggressor) coupling tables for one core.
+
+    Returns ``(g_pos, g_neg)``, each (k1*k2, k1*k2): entry [i, j] is
+    gamma(d_up) - gamma(d_lo) from aggressor j onto victim i when the
+    aggressor's phase is non-negative (g_pos) or negative (g_neg).
+    Diagonals are zero.  Cached per (k1, k2, layout, fit).  The light path
+    uses :func:`row_kernels` instead; these tables are its oracle and the
+    ``report --dump-coupling`` output.
+    """
+    n = k1 * k2
+    idx = np.arange(n)
+    col = idx // k2
+    row = idx % k2
+    g_pos, g_neg = _offset_couplings(row[None, :] - row[:, None],
+                                     col[None, :] - col[:, None], layout, fit)
     np.fill_diagonal(g_pos, 0.0)
     np.fill_diagonal(g_neg, 0.0)
     g_pos.setflags(write=False)
     g_neg.setflags(write=False)
     return g_pos, g_neg
+
+
+@lru_cache(maxsize=64)
+def row_kernels(k1: int, k2: int, layout: LayoutParams,
+                fit: GammaFit = GammaFit()) -> np.ndarray:
+    """Row-band crosstalk kernels of one core, shape (2B+1, k1, 2*k1).
+
+    ``[B + dr]`` holds the couplings onto a victim in row ``j`` from the
+    aggressors in row ``j + dr``: a pair of Toeplitz matrices over (victim
+    column, aggressor column), side by side, for aggressors driven by a
+    non-negative phase and (negated) for a negative one.  They multiply
+    the stacked heats [max(phi, 0); min(phi, 0)].  B is the smallest band
+    for which the couplings beyond it, summed over every column offset and
+    both sides, stay within ``CROSSTALK_FLOOR``: a bound on what any one
+    victim loses per radian of aggressor phase.  Cached per (k1, k2,
+    layout, fit).
+    """
+    d_rows = np.arange(-(k2 - 1), k2)[:, None]
+    d_cols = np.arange(-(k1 - 1), k1)[None, :]
+    g_pos, g_neg = _offset_couplings(d_rows, d_cols, layout, fit)
+    g_pos[k2 - 1, k1 - 1] = g_neg[k2 - 1, k1 - 1] = 0.0  # no self-coupling
+    # The larger coupling at each row offset dr, summed over columns, then
+    # folded to |dr| and summed from the far end: beyond[b] covers |dr| >= b.
+    per_dr = np.maximum(np.abs(g_pos), np.abs(g_neg)).sum(axis=1)
+    beyond = np.cumsum((per_dr[k2 - 1:] + per_dr[k2 - 1::-1])[::-1])[::-1]
+    band = next((b for b in range(k2 - 1) if beyond[b + 1] <= CROSSTALK_FLOOR),
+                k2 - 1)
+    # Victim column i, aggressor column i + dc.
+    idx = np.arange(k1)
+    dc = idx[None, :] - idx[:, None] + (k1 - 1)
+    rows = slice(k2 - 1 - band, k2 + band)
+    kernels = np.concatenate([g_pos[rows][:, dc], -g_neg[rows][:, dc]], axis=-1)
+    kernels.setflags(write=False)
+    return kernels
 
 
 def perturbed_phases(target_phases: np.ndarray, layout: LayoutParams,
@@ -110,16 +168,26 @@ def perturbed_phases(target_phases: np.ndarray, layout: LayoutParams,
 
     ``target_phases`` has shape (..., k1, k2); leading dimensions batch
     independent cores.  Every MZI aggresses every other in its own core
-    with |dphi| weight; the perturbed phases are NOT clipped to the
-    programmable range (the sine transfer handles any excursion).
+    with |dphi| weight, summed over the :func:`row_kernels` band (within
+    ``CROSSTALK_FLOOR * max|dphi|`` of the full sum); the perturbed phases
+    are NOT clipped to the programmable range (the sine transfer handles
+    any excursion).
     """
     phases = np.asarray(target_phases, dtype=float)
     k1, k2 = phases.shape[-2], phases.shape[-1]
-    g_pos, g_neg = coupling_matrices(k1, k2, layout, fit)
-    flat = phases.reshape(*phases.shape[:-2], k1 * k2)
-    mag = np.abs(flat)
-    pos = np.where(flat >= 0, mag, 0.0)
-    neg = np.where(flat < 0, mag, 0.0)
-    pert = pos @ g_pos.T + neg @ g_neg.T
-    return phases + pert.reshape(phases.shape)
-
+    kernels = row_kernels(k1, k2, layout, fit)
+    band = len(kernels) // 2
+    # Heated arm by sign: rows of the upper-arm heats, then the lower.
+    heat = np.empty(phases.shape[:-2] + (2 * k1, k2))
+    np.maximum(phases, 0.0, out=heat[..., :k1, :])
+    np.minimum(phases, 0.0, out=heat[..., k1:, :])
+    out = kernels[band] @ heat
+    out += phases
+    if band:
+        part = np.empty_like(out)
+        for dr, kernel in enumerate(kernels, start=-band):
+            if dr:  # victims in rows lo..hi-1, their aggressors dr rows away
+                lo, hi = max(0, -dr), k2 - max(0, dr)
+                np.matmul(kernel, heat, out=part)
+                out[..., lo:hi] += part[..., lo + dr:hi + dr]
+    return out

@@ -98,7 +98,9 @@ class Layer:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True):
+        """Fill the parameter gradients from d loss / d output and return
+        d loss / d input, or None when ``input_grad`` is False."""
         raise NotImplementedError
 
     def params(self) -> list[Param]:
@@ -203,13 +205,15 @@ class Conv2d(_MatmulLayer):
             self._cache = (x.shape, x2d, wq)
         return y2d.reshape(self.c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad: bool = True):
         x_shape, x2d, wq = self._saved()
         n = x_shape[0]
         g3 = grad.reshape(n, self.c_out, -1)
         g2d = g3.transpose(1, 0, 2).reshape(self.c_out, -1)
         self.dw[...] = g2d @ x2d.T
         self.db[...] = g2d.sum(axis=1)
+        if not input_grad:
+            return None
         # The same gradient with its columns in (position, sample) order.
         g_ln = g3.transpose(1, 2, 0).reshape(self.c_out, -1)
         dcols = (wq.T @ g_ln).reshape(wq.shape[1], g3.shape[2], n)
@@ -242,11 +246,11 @@ class Linear(_MatmulLayer):
             self._cache = (xq, wq)
         return y
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad: bool = True):
         xq, wq = self._saved()
         self.dw[...] = grad.T @ xq
         self.db[...] = grad.sum(axis=0)
-        return grad @ wq
+        return grad @ wq if input_grad else None
 
 
 class ReLU(Layer):
@@ -255,8 +259,9 @@ class ReLU(Layer):
             self._cache = x > 0
         return np.maximum(x, 0.0)
 
-    def backward(self, grad):
-        return grad * self._saved()
+    def backward(self, grad, input_grad: bool = True):
+        mask = self._saved()
+        return grad * mask if input_grad else None
 
 
 class AvgPool2d(Layer):
@@ -268,11 +273,18 @@ class AvgPool2d(Layer):
             raise DeviceModelError("AvgPool2d needs even spatial dimensions")
         if train:
             self._cache = x.shape
-        return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+        # Four strided slices, summed pairwise: several times faster than a
+        # two-axis mean, and the same numbers at the desk CNN's shapes.
+        top = x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
+        bottom = x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2]
+        return (top + bottom) / 4.0
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad: bool = True):
         n, c, h, w = self._saved()
-        g = np.repeat(np.repeat(grad, 2, axis=2), 2, axis=3) / 4.0
+        if not input_grad:
+            return None
+        g = np.broadcast_to((grad / 4.0)[:, :, :, None, :, None],
+                            (n, c, h // 2, 2, w // 2, 2))
         return g.reshape(n, c, h, w)
 
 
@@ -282,8 +294,9 @@ class Flatten(Layer):
             self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad):
-        return grad.reshape(self._saved())
+    def backward(self, grad, input_grad: bool = True):
+        shape = self._saved()
+        return grad.reshape(shape) if input_grad else None
 
 
 class Sequential:
@@ -295,10 +308,11 @@ class Sequential:
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, grad):
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+    def backward(self, grad) -> None:
+        """Fill every parameter gradient from d loss / d output.  Nothing
+        reads the model input's gradient, so the first layer skips it."""
+        for i in range(len(self.layers) - 1, -1, -1):
+            grad = self.layers[i].backward(grad, input_grad=i > 0)
 
     def params(self) -> list[Param]:
         out: list[Param] = []

@@ -282,28 +282,35 @@ def run_progressive(cfg: Config, seed: int) -> dict:
 
 def _nmae_block(w6: np.ndarray, x: np.ndarray, row: np.ndarray, col,
                 readouts, device: DeviceParams, layout: LayoutParams,
-                fit: GammaFit, rng: np.random.Generator) -> list[np.ndarray]:
+                fit: GammaFit, rng: np.random.Generator) -> list:
     """Layer-level N-MAE for a block of seeds, one array (one value per
     seed) per (mode, output_gating) pair of ``readouts``.
 
-    ``x`` is (S, q, c, k2, m); ``col`` is (S, q, c, k2), or None for dense
-    columns, whose mask has no seed axis so that every seed shares one
-    crosstalk pass.  The readouts share one realized light path.  The
-    reference masks rows in ``w6`` and columns in ``x``.
+    ``x`` is (S, q, c, k2, m); ``row`` is (r, k1), or (g, r, k1) for g row
+    masks that share every noise draw, giving one such list per mask;
+    ``col`` is (S, q, c, k2), or None for dense columns, whose mask has no
+    seed axis so that every seed shares one crosstalk pass.  The readouts
+    share one realized light path.  The reference masks rows in ``w6`` and
+    columns in ``x``.
     """
     s_n, q, c, k2, m = x.shape
     p = w6.shape[0]
     col_b = (np.ones((1, q, c, k2), dtype=bool) if col is None
              else np.asarray(col, dtype=bool))
-    ys = simulate_layer_readouts(
-        x, w6, row, np.broadcast_to(col_b[:, None], (len(col_b), p, q, c, k2)),
+    row = np.asarray(row, dtype=bool)
+    masks = row.reshape((-1,) + row.shape[-2:])
+    groups = simulate_layer_readouts(
+        x, w6, masks, np.broadcast_to(col_b[:, None], (len(col_b), p, q, c, k2)),
         readouts, layout=layout, params=device, fit=fit, rng=rng)
 
-    w2d = (w6 * row[:, None, :, None]).transpose(0, 2, 4, 1, 3, 5)
-    y_ref = (w2d.reshape(ys[0].shape[1], q * c * k2)
-             @ (x * col_b[..., None]).reshape(s_n, q * c * k2, m))
-    den = np.abs(y_ref).mean(axis=(1, 2))
-    return [np.abs(y - y_ref).mean(axis=(1, 2)) / den for y in ys]
+    x_ref = (x * col_b[..., None]).reshape(s_n, q * c * k2, m)
+    out = []
+    for mask, ys in zip(masks, groups):
+        w2d = (w6 * mask[:, None, :, None]).transpose(0, 2, 4, 1, 3, 5)
+        y_ref = w2d.reshape(ys[0].shape[1], q * c * k2) @ x_ref
+        den = np.abs(y_ref).mean(axis=(1, 2))
+        out.append([np.abs(y - y_ref).mean(axis=(1, 2)) / den for y in ys])
+    return out if row.ndim == 3 else out[0]
 
 
 def _one_sided_z(diffs: np.ndarray) -> dict:
@@ -328,8 +335,9 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
     output gating on.  The variants of a seed share one realized light
     path per row pattern (read with output gating off and on) and one per
     column mask (read under every mode), and so the same activations and
-    noise draws; differences are paired, and ``comparisons`` holds
-    one-sided z statistics for the headline orderings.
+    noise draws; the three row patterns share one draw of each noise
+    source.  Differences are paired, and ``comparisons`` holds one-sided
+    z statistics for the headline orderings.
     """
     if n_seeds < 2:
         raise ValueError(f"the study needs at least 2 seeds (--trials), got {n_seeds}")
@@ -352,6 +360,7 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
         "blocked": blocked,
         "interleaved": half,
     }
+    row_masks = np.stack([flat.reshape(r, k1) for flat in patterns.values()])
     modes = (ExecutionMode.PRUNE_ONLY, ExecutionMode.INPUT_GATING,
              ExecutionMode.INPUT_GATING_LR)
     gatings = [(ExecutionMode.PRUNE_ONLY, og) for og in (False, True)]
@@ -370,10 +379,10 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
         for ib, s_n in enumerate(sizes):
             x = derive_rng(seed, 41, ib).uniform(
                 0.0, 1.0, size=(s_n, q, c, k2, n_vectors))
-            for pname, flat in patterns.items():
-                nms = _nmae_block(
-                    w6, x, flat.reshape(r, k1), None, gatings, device, layout,
-                    fit, rng=derive_rng(seed, 40, ilg, ib))
+            by_pattern = _nmae_block(
+                w6, x, row_masks, None, gatings, device, layout, fit,
+                rng=derive_rng(seed, 40, ilg, ib))
+            for pname, nms in zip(patterns, by_pattern):
                 for (_, og), nm in zip(gatings, nms):
                     per_variant.setdefault((pname, og), []).append(nm)
         variant_nmae = {key: np.concatenate(v) for key, v in per_variant.items()}

@@ -425,27 +425,38 @@ ALL_READOUTS = [(mode, og) for mode in ExecutionMode for og in (False, True)]
 
 
 @pytest.mark.parametrize("seed_axis", [False, True])
-@pytest.mark.parametrize("coupling_free", [False, True])
-def test_readouts_equal_separate_layer_calls(coupling_free, seed_axis):
+@pytest.mark.parametrize("coupling_free, stacked_rows", [
+    pytest.param(False, False, id="False"),
+    pytest.param(True, False, id="True"),
+    pytest.param(False, True, id="False-stacked_rows"),
+    pytest.param(True, True, id="True-stacked_rows"),
+])
+def test_readouts_equal_separate_layer_calls(coupling_free, stacked_rows,
+                                             seed_axis):
     # One realization read out under every (mode, output gating) pair, in
     # order and shuffled, equals separate simulate_layer calls with
     # identically seeded generators bit for bit, phase and detector noise on.
+    # Several stacked row masks share every draw, and each of them equals
+    # its own call in the same way.
     w6, x, row, col = _layer_operands(64, n_seeds=2)
     if not seed_axis:
         col = col[:1]  # one column mask shared by both seeds
+    masks = np.stack([row, ~row, np.ones_like(row)]) if stacked_rows else row
     run = dict(layout=LAY, params=DeviceParams(),
                coupling_free=coupling_free)
     shuffled = [ALL_READOUTS[i]
                 for i in np.random.default_rng(5).permutation(len(ALL_READOUTS))]
     assert shuffled != ALL_READOUTS
     for readouts in (ALL_READOUTS, shuffled):
-        ys = simulate_layer_readouts(x, w6, row, col, readouts,
-                                     rng=derive_rng(65), **run)
-        assert len(ys) == len(readouts)
-        for (mode, og), y in zip(readouts, ys):
-            alone = simulate_layer(x, w6, row, col, mode, output_gating=og,
-                                   rng=derive_rng(65), **run)
-            assert np.array_equal(y, alone)
+        out = simulate_layer_readouts(x, w6, masks, col, readouts,
+                                      rng=derive_rng(65), **run)
+        groups = out if stacked_rows else [out]
+        for mask, ys in zip(masks.reshape(-1, R, K1), groups, strict=True):
+            assert len(ys) == len(readouts)
+            for (mode, og), y in zip(readouts, ys):
+                alone = simulate_layer(x, w6, mask, col, mode, output_gating=og,
+                                       rng=derive_rng(65), **run)
+                assert np.array_equal(y, alone)
     # Mode names parse like ExecutionMode members.
     [named] = simulate_layer_readouts(x, w6, row, col, [("input_gating", True)],
                                       rng=derive_rng(65), **run)

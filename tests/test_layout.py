@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import ptcsim.layout
+from ptcsim.core import simulate_mvm
 from ptcsim.devices import DeviceModelError, gamma
 from ptcsim.layout import (
+    CROSSTALK_FLOOR,
     LayoutParams,
     aggressor_distances,
     coupling_matrices,
     perturbed_phases,
+    row_kernels,
 )
 
 LAY = LayoutParams()  # l_s=9, l_g=5, l_v=120, ps_width=6 -> l_h=20
@@ -116,3 +120,50 @@ def test_perturbed_phases_batch_matches_loop():
     for i in range(5):
         assert np.allclose(batched[i], perturbed_phases(phases[i], LAY),
                            rtol=0, atol=1e-15)
+
+
+def _dense_crosstalk(phases, layout):
+    """The full crosstalk sum over the dense coupling tables."""
+    k1, k2 = phases.shape[-2:]
+    g_pos, g_neg = coupling_matrices(k1, k2, layout)
+    flat = phases.reshape(*phases.shape[:-2], k1 * k2)
+    pos = np.where(flat >= 0, flat, 0.0)
+    neg = np.where(flat < 0, -flat, 0.0)
+    return phases + (pos @ g_pos.T + neg @ g_neg.T).reshape(phases.shape)
+
+
+@pytest.mark.parametrize("l_g_um", [1.0, 5.0])
+@pytest.mark.parametrize("l_v_um, band", [(120.0, 0), (30.0, 3), (10.0, 10)])
+def test_row_band_kernel_matches_dense_tables(l_v_um, band, l_g_um):
+    # The band widens as the row pitch shrinks; whatever it drops stays
+    # within CROSSTALK_FLOOR per radian of the largest phase.
+    lay = LayoutParams(l_g_um=l_g_um, l_v_um=l_v_um)
+    assert len(row_kernels(16, 16, lay)) == 2 * band + 1
+    rng = np.random.default_rng(7)
+    for k1, k2 in ((16, 16), (4, 4), (16, 5), (3, 8), (1, 6), (5, 1)):
+        phases = rng.uniform(-math.pi / 2, math.pi / 2, size=(3, k1, k2))
+        phases[rng.uniform(size=phases.shape) < 0.5] = 0.0  # pruned MZIs
+        error = np.abs(perturbed_phases(phases, lay)
+                       - _dense_crosstalk(phases, lay)).max()
+        assert error <= CROSSTALK_FLOOR * np.abs(phases).max(), (k1, k2)
+
+
+def test_large_core_builds_no_dense_table(monkeypatch):
+    # A 64x64 core's dense table pair would take 268 MB; the light path
+    # runs on the row-band kernel and never builds it.
+    built = []
+    real = ptcsim.layout.coupling_matrices
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ptcsim.layout, "coupling_matrices", counting)
+    rng = np.random.default_rng(8)
+    w = rng.uniform(-1.0, 1.0, size=(64, 64))
+    x = rng.uniform(0.0, 1.0, size=64)
+    y = simulate_mvm(x, w, layout=LAY, rng_seed=1)
+    free = simulate_mvm(x, w, layout=LAY, rng_seed=1, coupling_free=True)
+    assert built == []
+    assert not np.array_equal(y, free)
+    assert row_kernels(64, 64, LAY).nbytes < 1e6
