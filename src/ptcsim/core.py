@@ -238,53 +238,173 @@ def _phase_noise(shape, params: DeviceParams, rng: np.random.Generator):
     return None
 
 
-def _realize(w, row, col, noise, layout, params, fit, coupling_free):
-    """Realized weights of a batch of cores, before any readout.
+def _fold_state(readout) -> tuple[int, bool]:
+    """What a readout does to the realized weights: (column step, output
+    gating).  The column step is 0 when dead columns keep their weights, 1
+    when a gated modulator scales them by its leakage tau, 2 when their
+    light is rerouted and they read as 0 (boost k2/k2' times readout gain
+    k2'/k2 is 1); output gating zeroes dead rows."""
+    mode, output_gating = readout
+    return mode.gates_inputs + mode.redistributes, output_gating
 
-    Pruned MZIs drive zero phase: they aggress nobody but still receive
-    crosstalk, which runs once per distinct mapping (the leading dimensions
-    of ``w``, ``row`` and ``col``); ``noise`` (from :func:`_phase_noise`,
-    one draw per core) is added after it; a powered-off weight keeps the
-    extinction-ratio floor.  No step depends on the mode or on output
-    gating, so one realization serves every readout of :func:`_fold`.
+
+def _chains(states) -> list[list[int]]:
+    """Readout indices in an order that folds one realization in place.
+
+    A fold only scales or zeroes dead columns, or zeroes dead rows, so a
+    readout can follow another in place when neither part of its
+    :func:`_fold_state` is below the other's.  Ungated readouts go first,
+    by column step, then gated ones; when an ungated readout has a larger
+    column step than a gated one, the ungated ones form a chain of their
+    own, folded in a copy.
     """
-    alive = row[..., :, None] & col[..., None, :]
-    phases = weight_to_phase(np.where(alive, w, 0.0))
-    if not coupling_free:
-        phases = perturbed_phases(phases, layout, fit)
+    ungated = sorted((i for i, s in enumerate(states) if not s[1]),
+                     key=lambda i: states[i])
+    gated = sorted((i for i, s in enumerate(states) if s[1]),
+                   key=lambda i: states[i])
+    if ungated and gated and states[ungated[-1]][0] > states[gated[0]][0]:
+        return [ungated, gated]
+    return [ungated + gated]
+
+
+def _realize(w_out, target, noise, row_p, col_p, layout, params, fit,
+             coupling_free):
+    """Realized weights of a batch of cores, written into ``w_out``.
+
+    ``target`` holds the masked target phases, (..., p, q, r, c, k1, k2):
+    a pruned MZI drives zero phase, so it aggresses nobody but still
+    receives crosstalk, which runs once per distinct mapping (the leading
+    dimensions of ``target``).  ``noise`` (from :func:`_phase_noise`, one
+    draw per core) is added after it, straight into ``w_out``, laid out as
+    the contraction's matrix (..., p, r*k1, q*c*k2); ``row_p`` (..., 1,
+    r*k1, 1) and ``col_p`` (..., p, 1, q*c*k2) are the masks in that
+    layout.  A powered-off weight keeps the extinction-ratio floor.  No
+    step depends on the mode or on output gating, so one realization
+    serves every readout.
+    """
+    p, q, r, c, k1, k2 = target.shape[-6:]
+    w_cores = np.moveaxis(w_out.reshape(w_out.shape[:-3] + (p, r, k1, q, c, k2)),
+                          (-3, -2), (-5, -3))  # a (..., p, q, r, c, k1, k2) view
+    if coupling_free:
+        phases = target
+    elif target.shape == w_cores.shape:  # no mapping shared by several cores
+        phases = perturbed_phases(target, layout, fit, out=w_cores)
+    else:
+        phases = perturbed_phases(target, layout, fit)
     if noise is not None:
-        phases = phases + noise
-    w_real = phase_to_weight(phases)
+        np.add(phases, noise, out=w_cores)
+    elif phases is not w_cores:
+        np.copyto(w_cores, phases)
+    phase_to_weight(w_out, out=w_out)
 
     # Extinction-ratio floor: a powered-off weight cannot sit closer to zero
     # than the leakage transmission; it keeps its sign (0 counts as +).
-    tau = leakage_transmission(params)
-    small = ~alive & (w_real < tau) & (w_real > -tau)
-    up = w_real >= 0
-    np.copyto(w_real, tau, where=small & up)
-    np.copyto(w_real, -tau, where=small & ~up)
-    return w_real
+    if not (row_p.all() and col_p.all()):
+        tau = leakage_transmission(params)
+        small = w_out < tau
+        small &= w_out > -tau
+        np.less(row_p & col_p, small, out=small)  # and powered off
+        flat = w_out.reshape(-1)
+        lifted = np.flatnonzero(small)
+        flat[lifted] = np.where(flat[lifted] >= 0, tau, -tau)
+    return w_out
 
 
-def _fold(w_real, row, col, mode, output_gating, params, in_place):
-    """One readout of realized weights: folded weights and per-output sigma.
+def _fold(w, have, want, dead_rows, dead_cols, col_gain):
+    """Fold the readout of state ``want`` into ``w`` in place, ``w`` being
+    in state ``have`` (see :func:`_fold_state`; neither part of ``want``
+    is below ``have``).
 
     Each mode's input side and readout fold into the weights, so a core
-    computes ``w_fold @ x + sigma * N(0, 1)``.  The fold writes into
-    ``w_real`` when ``in_place``, else into a copy.
+    computes ``w_fold @ x + sigma * N(0, 1)``.  ``col_gain`` is 1 on live
+    columns and tau on dead ones.
     """
-    w_fold = w_real if in_place else w_real.copy()
-    tau = leakage_transmission(params)
-    sigma = np.full(row.shape, params.pd_noise_sigma * math.sqrt(w_real.shape[-1]))
-    if mode.redistributes:  # boost k2/k2' times readout gain k2'/k2 is 1
-        np.copyto(w_fold, 0.0, where=~col[..., None, :])
+    if want[0] > have[0]:
+        if want[0] == 1:
+            w *= col_gain
+        else:
+            np.copyto(w, 0.0, where=dead_cols)
+    if want[1] and not have[1]:
+        np.copyto(w, 0.0, where=dead_rows)
+
+
+def _detector_sd(row, col, readout, params, shape):
+    """Detector-noise sd of each output of a readout, (..., p*r*k1, 1).
+
+    A core's sigma is sigma_pd*sqrt(k2) (k2 nodes summed along an output
+    column), times k2'/k2 under redistribution, 0 on gated rows; an output
+    sums its (q, c) cores' normals, of variance sum_{q,c} sigma^2.
+    """
+    mode, output_gating = readout
+    row = row[..., :, None, :]        # (..., r, 1, k1)
+    col = col[..., None, :, :]        # (..., p, q, 1, c, k2)
+    sigma = np.full(row.shape, params.pd_noise_sigma * math.sqrt(col.shape[-1]))
+    if mode.redistributes:
         sigma = sigma * col.mean(axis=-1, keepdims=True)
-    elif mode.gates_inputs:  # a gated modulator passes tau of its input
-        np.multiply(w_fold, tau, out=w_fold, where=~col[..., None, :])
     if output_gating:
-        np.copyto(w_fold, 0.0, where=~row[..., :, None])
         sigma = np.where(row, sigma, 0.0)
-    return w_fold, sigma
+    var = np.broadcast_to(sigma ** 2, shape)
+    return np.sqrt(var.sum(axis=(-4, -2))).reshape(shape[:-5] + (-1, 1))
+
+
+def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
+                coupling_free):
+    """Noisy products of a batch of mapped layers: the one light path of
+    :func:`simulate_mvm_batch` and :func:`simulate_layer_readouts`.
+
+    ``w`` is (..., p, q, r, c, k1, k2), ``x2d`` (..., q*c*k2, m), ``rows`` a
+    (g, ..., r, k1) stack of row masks, ``col`` (..., p, q, c, k2), and
+    ``lead`` the broadcast of the leading (batch) shapes.  The phase noise
+    (one draw per core) and the detector normals (one per output and
+    vector) are drawn once, in that order, for every layout and row mask.
+    Each (row mask, layout) is realized in turn into one buffer, and each
+    of its readouts folds that buffer in place (see :func:`_chains`) and
+    contracts it with ``x2d``.  Returns the products (..., p*r*k1, m) as
+    ``[layout][row mask][readout]``.
+    """
+    *_, p, q, r, c, k1, k2 = w.shape
+    noise = _phase_noise(lead + w.shape[-6:], params, rng)
+    normals = (rng.standard_normal(lead + (p * r * k1, x2d.shape[-1]))
+               if params.pd_noise_sigma > 0 else None)
+    phases = weight_to_phase(w)
+    col_7 = col[..., :, :, None, :, None, :]
+    col_p = col.reshape(col.shape[:-3] + (1, q * c * k2))
+    dead_cols = ~col_p
+    col_gain = np.where(col_p, 1.0, leakage_transmission(params))
+    states = [_fold_state(readout) for readout in readouts]
+    chains = _chains(states)
+    # One buffer serves every realization, and one more every copy.
+    cores = lead if noise is not None else np.broadcast_shapes(
+        rows.shape[1:-2], w.shape[:-6], col.shape[:-4])
+    w_real = np.empty(cores + (p, r * k1, q * c * k2))
+    w_copy = np.empty_like(w_real) if len(chains) > 1 else None
+    out = [[[None] * len(readouts) for _ in rows] for _ in layouts]
+    for ig, row in enumerate(rows):
+        row_p = row.reshape(row.shape[:-2] + (1, r * k1, 1))
+        dead_rows = ~row_p
+        # A pruned MZI drives zero phase, weight_to_phase(0) = -0.0.
+        target = np.where(col_7, np.where(row[..., None, None, :, None, :, None],
+                                          phases, -0.0), -0.0)
+        sds = None if normals is None else [
+            _detector_sd(row, col, readout, params, lead + (p, q, r, c, k1))
+            for readout in readouts]
+        for il, layout in enumerate(layouts):
+            _realize(w_real, target, noise, row_p, col_p, layout, params, fit,
+                     coupling_free)
+            for chain in chains:
+                w_fold = w_real
+                if chain is not chains[-1]:
+                    w_fold = w_copy
+                    np.copyto(w_fold, w_real)
+                have = (0, False)
+                for i in chain:
+                    _fold(w_fold, have, states[i], dead_rows, dead_cols, col_gain)
+                    have = states[i]
+                    y = w_fold.reshape(cores + (p * r * k1, q * c * k2)) @ x2d
+                    if sds is not None:
+                        y += sds[i] * normals
+                    out[il][ig][i] = y
+    return out
 
 
 def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
@@ -303,21 +423,19 @@ def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
     column) times k2'/k2 under redistribution, 0 on gated rows.
     """
     x, w, row, col, rng = _mvm_args(x, w, row_mask, col_mask, rng)
-    [(mode, output_gating)] = _readouts([(mode, output_gating)])
+    readouts = _readouts([(mode, output_gating)])
     cores = _batch_shape(x=x.shape[:-2], w=w.shape[:-2], row_mask=row.shape[:-1],
                          col_mask=col.shape[:-1])
-    noise = _phase_noise(cores + w.shape[-2:], params, rng)
-    w_real = _realize(w, row, col, noise, layout, params, fit, coupling_free)
-    w_fold, sigma = _fold(w_real, row, col, mode, output_gating, params,
-                          in_place=True)
-    y = w_fold @ x
-    if params.pd_noise_sigma > 0:
-        y += sigma[..., None] * rng.standard_normal(y.shape)
+    # A core is the p = q = r = c = 1 layer.
+    [[[y]]] = _light_path(x, w[..., None, None, None, None, :, :],
+                          row[None, ..., None, :], col[..., None, None, None, :],
+                          readouts, [layout], cores, params, fit, rng,
+                          coupling_free)
     return y
 
 
 def simulate_layer_readouts(x, w6, row_mask, col_mask, readouts,
-                            layout: LayoutParams,
+                            layout,
                             params: DeviceParams = DeviceParams(),
                             fit: GammaFit = GammaFit(),
                             rng: np.random.Generator | int | None = 0,
@@ -327,19 +445,21 @@ def simulate_layer_readouts(x, w6, row_mask, col_mask, readouts,
     ``w6`` is the (p, q, r, c, k1, k2) weight partition, ``x`` (..., q, c,
     k2, m), ``row_mask`` (r, k1), ``col_mask`` (..., p, q, c, k2), and
     ``readouts`` a sequence of (mode, output_gating) pairs.  The layer's
-    light path is realized once; each readout folds it and one contraction
-    over (q, c, k2) gives (..., p*r*k1, m).  Detector noise is one normal
-    per output and vector, of variance sum_{q,c} sigma^2 (per-core normals
-    summed); the normals are drawn once and scaled by each readout's sigma.
+    light path is realized once, into the contraction's matrix (p*r*k1,
+    q*c*k2); the readouts fold it in place and one contraction each gives
+    (..., p*r*k1, m).  Detector noise is one normal per output and vector,
+    of variance sum_{q,c} sigma^2 (per-core normals summed); the normals
+    are drawn once and scaled by each readout's sigma.
     Returns one product per readout, each equal bit for bit to a
     :func:`simulate_layer` call with an identically seeded generator.
 
     Several row masks of the layer, stacked as ``row_mask`` (g, r, k1),
-    share one draw of the phase noise and one of the detector normals.
-    They are realized one after another, one realization alive at a time,
-    and the result is one list of products per mask, each equal bit for
-    bit to a call with that mask alone and an identically seeded
-    generator.
+    share one draw of the phase noise and one of the detector normals, and
+    the result is one list of products per mask.  So do several layouts,
+    given as a sequence ``layout``, and the result is one such result per
+    layout.  Each (layout, row mask) is realized in turn, one realization
+    alive at a time, and each of its products equals bit for bit a call
+    with that layout and mask alone and an identically seeded generator.
     """
     x, w6, row, col, rng = _mvm_args(x, w6, row_mask, col_mask, rng)
     readouts = _readouts(readouts)
@@ -353,31 +473,13 @@ def simulate_layer_readouts(x, w6, row_mask, col_mask, readouts,
             f"inputs {x.shape}, row mask {row.shape} or column mask "
             f"{col.shape} does not fit the {w6.shape} partition")
     lead = _batch_shape(x=x.shape[:-4], col_mask=col.shape[:-4])
-    noise = _phase_noise(lead + w6.shape, params, rng)
-    normals = (rng.standard_normal(lead + (p * r * k1, x.shape[-1]))
-               if params.pd_noise_sigma > 0 else None)
-    x2d = x.reshape(x.shape[:-4] + (q * c * k2, x.shape[-1]))
-    col = col[..., None, :, :]  # aligned to the cores' (..., p, q, r, c) axes
-    groups = []
-    for rows in row.reshape((-1, r, k1)):
-        rows = rows[:, None, :]
-        w_real = _realize(w6, rows, col, noise, layout, params, fit,
-                          coupling_free)
-        ys = []
-        for i, (mode, output_gating) in enumerate(readouts):
-            w_fold, sigma = _fold(w_real, rows, col, mode, output_gating,
-                                  params, in_place=i == len(readouts) - 1)
-            y = np.moveaxis(w_fold, (-5, -3), (-3, -2)).reshape(
-                w_fold.shape[:-6] + (p * r * k1, q * c * k2)) @ x2d
-            del w_fold  # one folded array alive at a time
-            if normals is not None:
-                var = np.broadcast_to(sigma ** 2, lead + (p, q, r, c, k1))
-                sd = np.sqrt(var.sum(axis=(-4, -2))).reshape(lead + (p * r * k1, 1))
-                y += sd * normals
-            ys.append(y)
-        del w_real  # one realization alive at a time
-        groups.append(ys)
-    return groups if row.ndim == 3 else groups[0]
+    layouts = [layout] if isinstance(layout, LayoutParams) else list(layout)
+    out = _light_path(x.reshape(x.shape[:-4] + (q * c * k2, x.shape[-1])), w6,
+                      row.reshape((-1, r, k1)), col, readouts, layouts, lead,
+                      params, fit, rng, coupling_free)
+    if row.ndim == 2:
+        out = [groups[0] for groups in out]
+    return out[0] if isinstance(layout, LayoutParams) else out
 
 
 def simulate_layer(x, w6, row_mask, col_mask, mode: ExecutionMode,

@@ -108,15 +108,17 @@ def weight_to_phase(weight):
     return out
 
 
-def phase_to_weight(delta_phi_rad):
+def phase_to_weight(delta_phi_rad, out=None):
     """Normalized weight realized by a differential phase (rad).
 
     The MZI sits at quadrature bias, so the balanced-detector output is
     2*cos^2((dphi + pi/2)/2) - 1 = -sin(dphi).  Total on all inputs: phases
     pushed outside [-pi/2, pi/2] by crosstalk simply wrap through the sine.
+    The weights are written into ``out`` when it is given (it may be the
+    phase array itself).
     """
     phi = np.asarray(delta_phi_rad, dtype=float)
-    out = np.sin(phi, out=np.empty_like(phi))
+    out = np.sin(phi, out=np.empty_like(phi) if out is None else out)
     np.negative(out, out=out)  # in place: one array, not two
     if np.ndim(delta_phi_rad) == 0:
         return float(out)

@@ -37,6 +37,8 @@ from .devices import DeviceModelError, GammaFit, gamma
 # Crosstalk the row band may drop, in rad per rad of the largest aggressor
 # phase, summed over one victim (see row_kernels).
 CROSSTALK_FLOOR = 1e-6
+# Target phases whose heats perturbed_phases holds at once (2 MB of them).
+HEAT_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ def row_kernels(k1: int, k2: int, layout: LayoutParams,
 
 
 def perturbed_phases(target_phases: np.ndarray, layout: LayoutParams,
-                     fit: GammaFit = GammaFit()) -> np.ndarray:
+                     fit: GammaFit = GammaFit(), out=None) -> np.ndarray:
     """Phases actually realized once thermal crosstalk is added.
 
     ``target_phases`` has shape (..., k1, k2); leading dimensions batch
@@ -171,17 +173,33 @@ def perturbed_phases(target_phases: np.ndarray, layout: LayoutParams,
     with |dphi| weight, summed over the :func:`row_kernels` band (within
     ``CROSSTALK_FLOOR * max|dphi|`` of the full sum); the perturbed phases
     are NOT clipped to the programmable range (the sine transfer handles
-    any excursion).
+    any excursion).  They are written into ``out`` when it is given (an
+    array of the same shape, any strides, not sharing memory with
+    ``target_phases``).
     """
     phases = np.asarray(target_phases, dtype=float)
     k1, k2 = phases.shape[-2], phases.shape[-1]
     kernels = row_kernels(k1, k2, layout, fit)
+    if out is None:
+        out = np.empty(phases.shape)
+    # Every core is its own product, so a large batch runs in slices of its
+    # first axis, which bounds the heats to about HEAT_CHUNK phases.
+    batch, into = (phases, out) if phases.ndim > 2 else (phases[None], out[None])
+    step = max(1, HEAT_CHUNK // max(1, math.prod(batch.shape[1:])))
+    for i in range(0, len(batch), step):
+        _band_sum(batch[i:i + step], kernels, into[i:i + step])
+    return out
+
+
+def _band_sum(phases, kernels, out):
+    """Crosstalk of a batch of cores, summed over the row band into ``out``."""
+    k1, k2 = phases.shape[-2], phases.shape[-1]
     band = len(kernels) // 2
     # Heated arm by sign: rows of the upper-arm heats, then the lower.
     heat = np.empty(phases.shape[:-2] + (2 * k1, k2))
     np.maximum(phases, 0.0, out=heat[..., :k1, :])
     np.minimum(phases, 0.0, out=heat[..., k1:, :])
-    out = kernels[band] @ heat
+    np.matmul(kernels[band], heat, out=out)
     out += phases
     if band:
         part = np.empty_like(out)
@@ -190,4 +208,3 @@ def perturbed_phases(target_phases: np.ndarray, layout: LayoutParams,
                 lo, hi = max(0, -dr), k2 - max(0, dr)
                 np.matmul(kernel, heat, out=part)
                 out[..., lo:hi] += part[..., lo + dr:hi + dr]
-    return out

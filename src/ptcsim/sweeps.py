@@ -281,36 +281,42 @@ def run_progressive(cfg: Config, seed: int) -> dict:
 
 
 def _nmae_block(w6: np.ndarray, x: np.ndarray, row: np.ndarray, col,
-                readouts, device: DeviceParams, layout: LayoutParams,
-                fit: GammaFit, rng: np.random.Generator) -> list:
+                readouts, device: DeviceParams, layout, fit: GammaFit,
+                rng: np.random.Generator) -> list:
     """Layer-level N-MAE for a block of seeds, one array (one value per
     seed) per (mode, output_gating) pair of ``readouts``.
 
     ``x`` is (S, q, c, k2, m); ``row`` is (r, k1), or (g, r, k1) for g row
     masks that share every noise draw, giving one such list per mask;
     ``col`` is (S, q, c, k2), or None for dense columns, whose mask has no
-    seed axis so that every seed shares one crosstalk pass.  The readouts
-    share one realized light path.  The reference masks rows in ``w6`` and
-    columns in ``x``.
+    seed axis so that every seed shares one crosstalk pass.  ``layout`` is
+    one :class:`LayoutParams`, or a sequence of them that share every noise
+    draw too, giving one such result per layout.  The readouts share one
+    realized light path.  The reference masks rows in ``w6`` and columns in
+    ``x``.
     """
     s_n, q, c, k2, m = x.shape
-    p = w6.shape[0]
+    p, _, r, _, k1, _ = w6.shape
     col_b = (np.ones((1, q, c, k2), dtype=bool) if col is None
              else np.asarray(col, dtype=bool))
     row = np.asarray(row, dtype=bool)
     masks = row.reshape((-1,) + row.shape[-2:])
-    groups = simulate_layer_readouts(
+    layouts = [layout] if isinstance(layout, LayoutParams) else list(layout)
+    by_layout = simulate_layer_readouts(
         x, w6, masks, np.broadcast_to(col_b[:, None], (len(col_b), p, q, c, k2)),
-        readouts, layout=layout, params=device, fit=fit, rng=rng)
+        readouts, layout=layouts, params=device, fit=fit, rng=rng)
 
     x_ref = (x * col_b[..., None]).reshape(s_n, q * c * k2, m)
-    out = []
-    for mask, ys in zip(masks, groups):
+    refs = []
+    for mask in masks:
         w2d = (w6 * mask[:, None, :, None]).transpose(0, 2, 4, 1, 3, 5)
-        y_ref = w2d.reshape(ys[0].shape[1], q * c * k2) @ x_ref
-        den = np.abs(y_ref).mean(axis=(1, 2))
-        out.append([np.abs(y - y_ref).mean(axis=(1, 2)) / den for y in ys])
-    return out if row.ndim == 3 else out[0]
+        y_ref = w2d.reshape(p * r * k1, q * c * k2) @ x_ref
+        refs.append((y_ref, np.abs(y_ref).mean(axis=(1, 2))))
+    out = [[[np.abs(y - y_ref).mean(axis=(1, 2)) / den for y in ys]
+            for (y_ref, den), ys in zip(refs, groups)] for groups in by_layout]
+    if row.ndim == 2:
+        out = [groups[0] for groups in out]
+    return out[0] if isinstance(layout, LayoutParams) else out
 
 
 def _one_sided_z(diffs: np.ndarray) -> dict:
@@ -333,23 +339,37 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
     varies the column density and execution mode (prune-only, input
     gating, input gating + light redistribution) with dense rows and
     output gating on.  The variants of a seed share one realized light
-    path per row pattern (read with output gating off and on) and one per
-    column mask (read under every mode), and so the same activations and
-    noise draws; the three row patterns share one draw of each noise
-    source.  Differences are paired, and ``comparisons`` holds one-sided
-    z statistics for the headline orderings.
+    path per row pattern and gap (read with output gating off and on) and
+    one per column mask and gap (read under every mode), and so the same
+    activations and noise draws; the three row patterns and the gaps
+    ``l_g_values`` share one draw of each noise source per seed block and
+    study part.  The gaps are thus paired designs (common random numbers),
+    as are the variants within a gap.  Differences are paired, and
+    ``comparisons`` holds one-sided z statistics for the headline
+    orderings.
     """
     if n_seeds < 2:
         raise ValueError(f"the study needs at least 2 seeds (--trials), got {n_seeds}")
     if n_vectors < 1:
         raise ValueError(f"the study needs at least 1 vector (--vectors), got {n_vectors}")
+    if block_size < 1:
+        raise ValueError(f"block_size must be at least 1, got {block_size}")
+    if len(l_g_values) == 0:
+        raise ValueError("l_g_values must name at least one gap")
     arch, device = cfg.arch, cfg.device
     fit = GammaFit()
+    r, c, k1, k2 = arch.r, arch.c, arch.k1, arch.k2
+    for dens in col_densities:
+        if not (math.isfinite(dens) and dens <= 1.0
+                and round_half_up(float(dens) * k2) >= 1):
+            raise ValueError(f"col_densities must be finite, at most 1 and keep "
+                             f"at least one of {k2} columns, got {dens}")
+    layouts = [dataclasses.replace(cfg.layout, l_g_um=float(l_g))
+               for l_g in l_g_values]
     w2d = derive_rng(seed, 8).uniform(-1.0, 1.0, size=(arch.chunk_rows,
                                                        9 * arch.chunk_cols))
     w6 = partition(w2d, arch)
     q = w6.shape[1]
-    r, c, k1, k2 = w6.shape[2:]
     rk1 = r * k1
 
     half = interleaved_ones(rk1, rk1 // 2).astype(bool)
@@ -369,23 +389,41 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
     n_blocks = -(-n_seeds // block_size)
     sizes = [min(block_size, n_seeds - b * block_size) for b in range(n_blocks)]
 
+    # -- row patterns, dense columns: N-MAE per (gap, pattern, gating) ----
+    per_variant: dict[tuple, list] = {}
+    for ib, s_n in enumerate(sizes):
+        x = derive_rng(seed, 41, ib).uniform(
+            0.0, 1.0, size=(s_n, q, c, k2, n_vectors))
+        by_layout = _nmae_block(w6, x, row_masks, None, gatings, device,
+                                layouts, fit, rng=derive_rng(seed, 40, ib))
+        for ilg, by_pattern in enumerate(by_layout):
+            for pname, nms in zip(patterns, by_pattern):
+                for (_, og), nm in zip(gatings, nms):
+                    per_variant.setdefault((ilg, pname, og), []).append(nm)
+
+    # -- column densities x execution modes: per (gap, density, mode) ----
+    per_mode: dict[tuple, list] = {}
+    for di, dens in enumerate(col_densities):
+        n_keep = round_half_up(float(dens) * k2)
+        for ib, s_n in enumerate(sizes):
+            x = derive_rng(seed, 43, ib).uniform(
+                0.0, 1.0, size=(s_n, q, c, k2, n_vectors))
+            u = derive_rng(seed, 42, di, ib).uniform(size=(s_n, q, c, k2))
+            order = np.argsort(u, axis=-1)
+            col = np.zeros(u.shape, dtype=bool)
+            np.put_along_axis(col, order[..., :n_keep], True, axis=-1)
+            by_layout = _nmae_block(
+                w6, x, np.ones((r, k1), dtype=bool), col, gated_modes, device,
+                layouts, fit, rng=derive_rng(seed, 44, di, ib))
+            for ilg, nms in enumerate(by_layout):
+                for mode, nm in zip(modes, nms):
+                    per_mode.setdefault((ilg, di, mode.value), []).append(nm)
+
     rows: list[dict] = []
     comparisons: list[dict] = []
     for ilg, l_g in enumerate(l_g_values):
-        layout = dataclasses.replace(cfg.layout, l_g_um=float(l_g))
-
-        # -- row patterns, dense columns --------------------------------
-        per_variant: dict[tuple, list] = {}
-        for ib, s_n in enumerate(sizes):
-            x = derive_rng(seed, 41, ib).uniform(
-                0.0, 1.0, size=(s_n, q, c, k2, n_vectors))
-            by_pattern = _nmae_block(
-                w6, x, row_masks, None, gatings, device, layout, fit,
-                rng=derive_rng(seed, 40, ilg, ib))
-            for pname, nms in zip(patterns, by_pattern):
-                for (_, og), nm in zip(gatings, nms):
-                    per_variant.setdefault((pname, og), []).append(nm)
-        variant_nmae = {key: np.concatenate(v) for key, v in per_variant.items()}
+        variant_nmae = {(pname, og): np.concatenate(per_variant[(ilg, pname, og)])
+                        for pname in patterns for _, og in gatings}
         for (pname, og), vals in variant_nmae.items():
             rows.append({
                 "study": "row_pattern", "l_g_um": float(l_g),
@@ -400,23 +438,9 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
                            - variant_nmae[("interleaved", True)]),
         })
 
-        # -- column densities x execution modes --------------------------
         for di, dens in enumerate(col_densities):
-            n_keep = round_half_up(float(dens) * k2)
-            per_mode: dict[str, list] = {}
-            for ib, s_n in enumerate(sizes):
-                x = derive_rng(seed, 43, ib).uniform(
-                    0.0, 1.0, size=(s_n, q, c, k2, n_vectors))
-                u = derive_rng(seed, 42, di, ib).uniform(size=(s_n, q, c, k2))
-                order = np.argsort(u, axis=-1)
-                col = np.zeros(u.shape, dtype=bool)
-                np.put_along_axis(col, order[..., :n_keep], True, axis=-1)
-                nms = _nmae_block(
-                    w6, x, np.ones((r, k1), dtype=bool), col, gated_modes,
-                    device, layout, fit, rng=derive_rng(seed, 44, ilg, di, ib))
-                for mode, nm in zip(modes, nms):
-                    per_mode.setdefault(mode.value, []).append(nm)
-            mode_nmae = {key: np.concatenate(v) for key, v in per_mode.items()}
+            mode_nmae = {mode.value: np.concatenate(per_mode[(ilg, di, mode.value)])
+                         for mode in modes}
             for mode in modes:
                 vals = mode_nmae[mode.value]
                 rows.append({

@@ -424,44 +424,79 @@ def test_layer_detector_noise_is_one_draw_per_output():
 ALL_READOUTS = [(mode, og) for mode in ExecutionMode for og in (False, True)]
 
 
+# Gaps and row pitches whose crosstalk bands differ, B = 0 at LAY.
+LAYOUTS = [LAY, LayoutParams(l_g_um=1.0), LayoutParams(l_g_um=3.0, l_v_um=10.0)]
+
+
 @pytest.mark.parametrize("seed_axis", [False, True])
-@pytest.mark.parametrize("coupling_free, stacked_rows", [
-    pytest.param(False, False, id="False"),
-    pytest.param(True, False, id="True"),
-    pytest.param(False, True, id="False-stacked_rows"),
-    pytest.param(True, True, id="True-stacked_rows"),
+@pytest.mark.parametrize("coupling_free, stacked_rows, stacked_layouts", [
+    pytest.param(False, False, False, id="False"),
+    pytest.param(True, False, False, id="True"),
+    pytest.param(False, True, False, id="False-stacked_rows"),
+    pytest.param(True, True, False, id="True-stacked_rows"),
+    pytest.param(False, False, True, id="False-stacked_layouts"),
+    pytest.param(False, True, True, id="False-stacked_rows-stacked_layouts"),
 ])
 def test_readouts_equal_separate_layer_calls(coupling_free, stacked_rows,
-                                             seed_axis):
+                                             stacked_layouts, seed_axis):
     # One realization read out under every (mode, output gating) pair, in
     # order and shuffled, equals separate simulate_layer calls with
     # identically seeded generators bit for bit, phase and detector noise on.
-    # Several stacked row masks share every draw, and each of them equals
-    # its own call in the same way.
+    # Several stacked row masks and layouts share every draw, and each
+    # (layout, row mask) equals its own call in the same way.  The shuffled
+    # order holds readout sets that cannot all fold one realization in place.
     w6, x, row, col = _layer_operands(64, n_seeds=2)
     if not seed_axis:
         col = col[:1]  # one column mask shared by both seeds
     masks = np.stack([row, ~row, np.ones_like(row)]) if stacked_rows else row
-    run = dict(layout=LAY, params=DeviceParams(),
-               coupling_free=coupling_free)
+    layouts = LAYOUTS if stacked_layouts else LAY
+    run = dict(params=DeviceParams(), coupling_free=coupling_free)
     shuffled = [ALL_READOUTS[i]
                 for i in np.random.default_rng(5).permutation(len(ALL_READOUTS))]
     assert shuffled != ALL_READOUTS
     for readouts in (ALL_READOUTS, shuffled):
-        out = simulate_layer_readouts(x, w6, masks, col, readouts,
+        out = simulate_layer_readouts(x, w6, masks, col, readouts, layouts,
                                       rng=derive_rng(65), **run)
-        groups = out if stacked_rows else [out]
-        for mask, ys in zip(masks.reshape(-1, R, K1), groups, strict=True):
-            assert len(ys) == len(readouts)
-            for (mode, og), y in zip(readouts, ys):
-                alone = simulate_layer(x, w6, mask, col, mode, output_gating=og,
-                                       rng=derive_rng(65), **run)
-                assert np.array_equal(y, alone)
+        by_layout = out if stacked_layouts else [out]
+        for layout, groups in zip(LAYOUTS if stacked_layouts else [LAY],
+                                  by_layout, strict=True):
+            groups = groups if stacked_rows else [groups]
+            for mask, ys in zip(masks.reshape(-1, R, K1), groups, strict=True):
+                assert len(ys) == len(readouts)
+                for (mode, og), y in zip(readouts, ys):
+                    alone = simulate_layer(x, w6, mask, col, mode, layout,
+                                           output_gating=og,
+                                           rng=derive_rng(65), **run)
+                    assert np.array_equal(y, alone)
     # Mode names parse like ExecutionMode members.
     [named] = simulate_layer_readouts(x, w6, row, col, [("input_gating", True)],
-                                      rng=derive_rng(65), **run)
+                                      LAY, rng=derive_rng(65), **run)
     assert np.array_equal(named, simulate_layer(
-        x, w6, row, col, ExecutionMode.INPUT_GATING, rng=derive_rng(65), **run))
+        x, w6, row, col, ExecutionMode.INPUT_GATING, LAY, rng=derive_rng(65),
+        **run))
+
+
+@pytest.mark.parametrize("output_gating", [False, True])
+@pytest.mark.parametrize("mode", list(ExecutionMode))
+def test_one_core_layer_equals_simulate_mvm_batch(mode, output_gating):
+    # Both entry points run one light path: a layer of one 1x1x1x1
+    # partition equals the batched core bit for bit, with phase noise and
+    # crosstalk on (detector noise off: the layer sums its normals over the
+    # (q, c) cores, the batch scales them by sigma).
+    rng = derive_rng(67)
+    w = rng.uniform(-1.0, 1.0, size=(K1, K2))
+    x = rng.uniform(0.0, 1.0, size=(2, K2, 3))
+    row = np.array([True, False, True])
+    col = rng.uniform(size=(2, K2)) < 0.6  # one column mask per batch entry
+    run = dict(layout=LayoutParams(l_g_um=1.0, l_v_um=10.0),
+               params=DeviceParams(pd_noise_sigma=0.0),
+               output_gating=output_gating)
+    layer = simulate_layer(x[:, None, None], w[None, None, None, None],
+                           row[None], col[:, None, None, None], mode,
+                           rng=derive_rng(68), **run)
+    cores = simulate_mvm_batch(x, w, row, col, mode, rng=derive_rng(68), **run)
+    assert layer.shape == cores.shape == (2, K1, 3)
+    assert np.array_equal(layer, cores)
 
 
 def test_readouts_reject_empty_and_unknown_modes():

@@ -10,6 +10,7 @@ from ptcsim.core import simulate_mvm
 from ptcsim.devices import DeviceModelError, gamma
 from ptcsim.layout import (
     CROSSTALK_FLOOR,
+    HEAT_CHUNK,
     LayoutParams,
     aggressor_distances,
     coupling_matrices,
@@ -120,6 +121,24 @@ def test_perturbed_phases_batch_matches_loop():
     for i in range(5):
         assert np.allclose(batched[i], perturbed_phases(phases[i], LAY),
                            rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("l_v_um", [120.0, 30.0])
+def test_perturbed_phases_slices_a_large_batch_exactly(l_v_um):
+    # A batch larger than HEAT_CHUNK runs in slices of its first axis.  At
+    # either band width the result equals each core's alone bit for bit,
+    # and written into a strided ``out`` too.
+    k = 16
+    step = HEAT_CHUNK // (k * k)
+    phases = np.random.default_rng(4).uniform(
+        -math.pi / 2, math.pi / 2, size=(2 * step + 3, k, k))
+    layout = LayoutParams(l_v_um=l_v_um)
+    whole = perturbed_phases(phases, layout)
+    strided = np.moveaxis(np.empty((k, len(phases), k)), 1, 0)
+    assert perturbed_phases(phases, layout, out=strided) is strided
+    assert np.array_equal(strided, whole)
+    for i in (0, step - 1, step, 2 * step, len(phases) - 1):
+        assert np.array_equal(whole[i], perturbed_phases(phases[i], layout))
 
 
 def _dense_crosstalk(phases, layout):

@@ -206,20 +206,51 @@ def test_nmae_block_dense_columns_match_an_explicit_mask():
 
 def test_study_realizes_one_light_path_per_pattern_and_column_mask(monkeypatch):
     # One l_g and one seed block: three row patterns and one column mask
-    # give 4 crosstalk passes, not one per variant (9).
-    calls = []
-    real = ptcsim.core.perturbed_phases
+    # give 4 crosstalk passes, not one per variant (9).  Three gaps share
+    # each noise draw: 4 passes per gap, and one phase-noise draw per study
+    # part (2), not one per gap and part (6).
+    calls, draws = [], []
+    real, real_noise = ptcsim.core.perturbed_phases, ptcsim.core._phase_noise
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
+    def counting_noise(*args, **kwargs):
+        draws.append(1)
+        return real_noise(*args, **kwargs)
+
     monkeypatch.setattr(ptcsim.core, "perturbed_phases", counting)
+    monkeypatch.setattr(ptcsim.core, "_phase_noise", counting_noise)
     out = run_nmae_study(CFG, seed=0, n_seeds=3, n_vectors=2,
                          l_g_values=(5.0,), col_densities=(0.25,),
                          block_size=3)
     assert len(out["rows"]) == 9
     assert len(calls) == 4
+    calls.clear()
+    draws.clear()
+    out = run_nmae_study(CFG, seed=0, n_seeds=3, n_vectors=2,
+                         l_g_values=(1.0, 3.0, 5.0), col_densities=(0.25,),
+                         block_size=3)
+    assert len(out["rows"]) == 27
+    assert len(calls) == 12
+    assert len(draws) == 2
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(block_size=0), "block_size"),
+    (dict(block_size=-5), "block_size"),
+    (dict(col_densities=(0.0,)), "col_densities"),
+    (dict(col_densities=(0.25, -0.5)), "col_densities"),
+    (dict(col_densities=(1.5,)), "col_densities"),
+    (dict(col_densities=(float("nan"),)), "col_densities"),
+    (dict(l_g_values=()), "l_g_values"),
+    (dict(l_g_values=(1.0, 0.0)), "l_g_um"),
+])
+def test_nmae_study_rejects_out_of_domain_arguments(kwargs, name):
+    # Each raises ValueError naming the argument before any work is done.
+    with pytest.raises(ValueError, match=name):
+        run_nmae_study(CFG, seed=0, n_seeds=3, n_vectors=2, **kwargs)
 
 
 def test_one_sided_z_is_undefined_without_spread():
