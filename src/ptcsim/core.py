@@ -267,7 +267,7 @@ def _chains(states) -> list[list[int]]:
     return [ungated + gated]
 
 
-def _realize(w_out, target, noise, row_p, col_p, layout, params, fit,
+def _realize(w_out, buf, target, noise, row_p, col_p, layout, params, fit,
              coupling_free):
     """Realized weights of a batch of cores, written into ``w_out``.
 
@@ -275,15 +275,17 @@ def _realize(w_out, target, noise, row_p, col_p, layout, params, fit,
     a pruned MZI drives zero phase, so it aggresses nobody but still
     receives crosstalk, which runs once per distinct mapping (the leading
     dimensions of ``target``).  ``noise`` (from :func:`_phase_noise`, one
-    draw per core) is added after it, straight into ``w_out``, laid out as
-    the contraction's matrix (..., p, r*k1, q*c*k2); ``row_p`` (..., 1,
-    r*k1, 1) and ``col_p`` (..., p, 1, q*c*k2) are the masks in that
-    layout.  A powered-off weight keeps the extinction-ratio floor.  No
-    step depends on the mode or on output gating, so one realization
-    serves every readout.
+    draw per core) is added after it.  The light path is realized in
+    ``buf``, laid out as the contraction's matrix (..., p, r*k1, q*c*k2):
+    ``w_out`` itself, or under phase noise a float32 array of its shape,
+    cast into ``w_out`` after the sine.  ``row_p`` (..., 1, r*k1, 1) and
+    ``col_p`` (..., p, 1, q*c*k2) are the masks in that layout.  A
+    powered-off weight keeps the extinction-ratio floor.  No step depends
+    on the mode or on output gating, so one realization serves every
+    readout.
     """
     p, q, r, c, k1, k2 = target.shape[-6:]
-    w_cores = np.moveaxis(w_out.reshape(w_out.shape[:-3] + (p, r, k1, q, c, k2)),
+    w_cores = np.moveaxis(buf.reshape(buf.shape[:-3] + (p, r, k1, q, c, k2)),
                           (-3, -2), (-5, -3))  # a (..., p, q, r, c, k1, k2) view
     if coupling_free:
         phases = target
@@ -295,7 +297,9 @@ def _realize(w_out, target, noise, row_p, col_p, layout, params, fit,
         np.add(phases, noise, out=w_cores)
     elif phases is not w_cores:
         np.copyto(w_cores, phases)
-    phase_to_weight(w_out, out=w_out)
+    phase_to_weight(buf, out=buf)
+    if buf is not w_out:
+        np.copyto(w_out, buf)
 
     # Extinction-ratio floor: a powered-off weight cannot sit closer to zero
     # than the leakage transmission; it keeps its sign (0 counts as +).
@@ -359,38 +363,55 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     vector) are drawn once, in that order, for every layout and row mask.
     Each (row mask, layout) is realized in turn into one buffer, and each
     of its readouts folds that buffer in place (see :func:`_chains`) and
-    contracts it with ``x2d``.  Returns the products (..., p*r*k1, m) as
+    contracts it with ``x2d``.  On a row mask with no dead row, output
+    gating changes nothing, so readouts that differ only in it share one
+    product (one array).  Returns the products (..., p*r*k1, m) as
     ``[layout][row mask][readout]``.
+
+    Precision: under phase noise (sigma 1e-2 rad by default, far above
+    float32's 6e-8) the crosstalk, the noise add and the sine run in
+    float32; the target phases, the folds, the contraction and the
+    detector noise stay float64.  Without phase noise every step is
+    float64, so a quiet product is exact.
     """
     *_, p, q, r, c, k1, k2 = w.shape
     noise = _phase_noise(lead + w.shape[-6:], params, rng)
     normals = (rng.standard_normal(lead + (p * r * k1, x2d.shape[-1]))
                if params.pd_noise_sigma > 0 else None)
     phases = weight_to_phase(w)
+    if noise is not None:
+        phases = phases.astype(np.float32)
     col_7 = col[..., :, :, None, :, None, :]
     col_p = col.reshape(col.shape[:-3] + (1, q * c * k2))
     dead_cols = ~col_p
     col_gain = np.where(col_p, 1.0, leakage_transmission(params))
-    states = [_fold_state(readout) for readout in readouts]
-    chains = _chains(states)
     # One buffer serves every realization, and one more every copy.
     cores = lead if noise is not None else np.broadcast_shapes(
         rows.shape[1:-2], w.shape[:-6], col.shape[:-4])
     w_real = np.empty(cores + (p, r * k1, q * c * k2))
-    w_copy = np.empty_like(w_real) if len(chains) > 1 else None
-    out = [[[None] * len(readouts) for _ in rows] for _ in layouts]
+    buf = w_real if noise is None else np.empty(w_real.shape, np.float32)
+    w_copy = None
+    out = [[None] * len(rows) for _ in layouts]
     for ig, row in enumerate(rows):
         row_p = row.reshape(row.shape[:-2] + (1, r * k1, 1))
         dead_rows = ~row_p
+        gates_rows = not row.all()
+        keys = [(mode, og and gates_rows) for mode, og in readouts]
+        distinct = list(dict.fromkeys(keys))
+        states = [_fold_state(key) for key in distinct]
+        chains = _chains(states)
+        if len(chains) > 1 and w_copy is None:
+            w_copy = np.empty_like(w_real)
         # A pruned MZI drives zero phase, weight_to_phase(0) = -0.0.
         target = np.where(col_7, np.where(row[..., None, None, :, None, :, None],
                                           phases, -0.0), -0.0)
         sds = None if normals is None else [
-            _detector_sd(row, col, readout, params, lead + (p, q, r, c, k1))
-            for readout in readouts]
+            _detector_sd(row, col, key, params, lead + (p, q, r, c, k1))
+            for key in distinct]
         for il, layout in enumerate(layouts):
-            _realize(w_real, target, noise, row_p, col_p, layout, params, fit,
-                     coupling_free)
+            _realize(w_real, buf, target, noise, row_p, col_p, layout, params,
+                     fit, coupling_free)
+            ys = [None] * len(distinct)
             for chain in chains:
                 w_fold = w_real
                 if chain is not chains[-1]:
@@ -403,7 +424,8 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
                     y = w_fold.reshape(cores + (p * r * k1, q * c * k2)) @ x2d
                     if sds is not None:
                         y += sds[i] * normals
-                    out[il][ig][i] = y
+                    ys[i] = y
+            out[il][ig] = [ys[distinct.index(key)] for key in keys]
     return out
 
 
@@ -451,7 +473,9 @@ def simulate_layer_readouts(x, w6, row_mask, col_mask, readouts,
     of variance sum_{q,c} sigma^2 (per-core normals summed); the normals
     are drawn once and scaled by each readout's sigma.
     Returns one product per readout, each equal bit for bit to a
-    :func:`simulate_layer` call with an identically seeded generator.
+    :func:`simulate_layer` call with an identically seeded generator;
+    readouts that read the same product (output gating on and off over a
+    row mask with no dead row) share one array.
 
     Several row masks of the layer, stacked as ``row_mask`` (g, r, k1),
     share one draw of the phase noise and one of the detector normals, and

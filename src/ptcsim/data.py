@@ -9,6 +9,8 @@ seeded, so a (dataset, seed) pair always yields identical arrays.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .core import derive_rng
@@ -72,9 +74,14 @@ def load_dataset(name: str, seed: int = 0
     divided by 16, deterministic 1500/297 split.  ``blobs``: the synthetic
     image set above, 80/20 split.  Image tensors are (N, 1, 8, 8).
     Without scikit-learn, ``digits`` gives ``blobs`` (see
-    :func:`resolve_dataset`).
+    :func:`resolve_dataset`) and warns so.
     """
-    name = resolve_dataset(name)
+    loaded = resolve_dataset(name)
+    if loaded != name:
+        warnings.warn(f"dataset '{name}' needs scikit-learn, which is not "
+                      f"installed; loading '{loaded}' instead",
+                      UserWarning, stacklevel=2)
+    name = loaded
     if name == "digits":
         from sklearn.datasets import load_digits
         bunch = load_digits()

@@ -92,6 +92,13 @@ def gamma(distance_um, fit: GammaFit = GammaFit()):
     return out
 
 
+def float_array(x) -> np.ndarray:
+    """``x`` as a float array: float32 stays float32 (a realization under
+    phase noise, see ``core``), anything else becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(float, copy=False)
+
+
 def weight_to_phase(weight):
     """Differential phase (rad) that realizes a normalized weight in [-1, 1].
 
@@ -115,9 +122,10 @@ def phase_to_weight(delta_phi_rad, out=None):
     2*cos^2((dphi + pi/2)/2) - 1 = -sin(dphi).  Total on all inputs: phases
     pushed outside [-pi/2, pi/2] by crosstalk simply wrap through the sine.
     The weights are written into ``out`` when it is given (it may be the
-    phase array itself).
+    phase array itself).  A float32 input is computed in float32, any other
+    in float64.
     """
-    phi = np.asarray(delta_phi_rad, dtype=float)
+    phi = float_array(delta_phi_rad)
     out = np.sin(phi, out=np.empty_like(phi) if out is None else out)
     np.negative(out, out=out)  # in place: one array, not two
     if np.ndim(delta_phi_rad) == 0:

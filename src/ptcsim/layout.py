@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .devices import DeviceModelError, GammaFit, gamma
+from .devices import DeviceModelError, GammaFit, float_array, gamma
 
 # Crosstalk the row band may drop, in rad per rad of the largest aggressor
 # phase, summed over one victim (see row_kernels).
@@ -175,13 +175,14 @@ def perturbed_phases(target_phases: np.ndarray, layout: LayoutParams,
     are NOT clipped to the programmable range (the sine transfer handles
     any excursion).  They are written into ``out`` when it is given (an
     array of the same shape, any strides, not sharing memory with
-    ``target_phases``).
+    ``target_phases``).  Float32 phases are summed in float32, any others
+    in float64.
     """
-    phases = np.asarray(target_phases, dtype=float)
+    phases = float_array(target_phases)
     k1, k2 = phases.shape[-2], phases.shape[-1]
-    kernels = row_kernels(k1, k2, layout, fit)
+    kernels = row_kernels(k1, k2, layout, fit).astype(phases.dtype, copy=False)
     if out is None:
-        out = np.empty(phases.shape)
+        out = np.empty(phases.shape, dtype=phases.dtype)
     # Every core is its own product, so a large batch runs in slices of its
     # first axis, which bounds the heats to about HEAT_CHUNK phases.
     batch, into = (phases, out) if phases.ndim > 2 else (phases[None], out[None])
@@ -196,13 +197,13 @@ def _band_sum(phases, kernels, out):
     k1, k2 = phases.shape[-2], phases.shape[-1]
     band = len(kernels) // 2
     # Heated arm by sign: rows of the upper-arm heats, then the lower.
-    heat = np.empty(phases.shape[:-2] + (2 * k1, k2))
+    heat = np.empty(phases.shape[:-2] + (2 * k1, k2), dtype=phases.dtype)
     np.maximum(phases, 0.0, out=heat[..., :k1, :])
     np.minimum(phases, 0.0, out=heat[..., k1:, :])
     np.matmul(kernels[band], heat, out=out)
     out += phases
     if band:
-        part = np.empty_like(out)
+        part = np.empty(out.shape, dtype=phases.dtype)
         for dr, kernel in enumerate(kernels, start=-band):
             if dr:  # victims in rows lo..hi-1, their aggressors dr rows away
                 lo, hi = max(0, -dr), k2 - max(0, dr)

@@ -292,8 +292,8 @@ def _nmae_block(w6: np.ndarray, x: np.ndarray, row: np.ndarray, col,
     seed axis so that every seed shares one crosstalk pass.  ``layout`` is
     one :class:`LayoutParams`, or a sequence of them that share every noise
     draw too, giving one such result per layout.  The readouts share one
-    realized light path.  The reference masks rows in ``w6`` and columns in
-    ``x``.
+    realized light path, and those that read one product share one N-MAE.
+    The reference masks rows in ``w6`` and columns in ``x``.
     """
     s_n, q, c, k2, m = x.shape
     p, _, r, _, k1, _ = w6.shape
@@ -312,8 +312,16 @@ def _nmae_block(w6: np.ndarray, x: np.ndarray, row: np.ndarray, col,
         w2d = (w6 * mask[:, None, :, None]).transpose(0, 2, 4, 1, 3, 5)
         y_ref = w2d.reshape(p * r * k1, q * c * k2) @ x_ref
         refs.append((y_ref, np.abs(y_ref).mean(axis=(1, 2))))
-    out = [[[np.abs(y - y_ref).mean(axis=(1, 2)) / den for y in ys]
-            for (y_ref, den), ys in zip(refs, groups)] for groups in by_layout]
+    def per_seed(ys, y_ref, den):
+        # Readouts that read one product share one array, and one N-MAE.
+        done = {}
+        for y in ys:
+            if id(y) not in done:
+                done[id(y)] = np.abs(y - y_ref).mean(axis=(1, 2)) / den
+        return [done[id(y)] for y in ys]
+
+    out = [[per_seed(ys, y_ref, den) for (y_ref, den), ys in zip(refs, groups)]
+           for groups in by_layout]
     if row.ndim == 2:
         out = [groups[0] for groups in out]
     return out[0] if isinstance(layout, LayoutParams) else out

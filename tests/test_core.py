@@ -476,6 +476,58 @@ def test_readouts_equal_separate_layer_calls(coupling_free, stacked_rows,
         **run))
 
 
+def _realized_oracle(w6, row, col, noise, layout, dev, readout):
+    """Float64 realized and folded weights of a layer, (S, p*r*k1, q*c*k2):
+    phase_to_weight(perturbed_phases(target) + noise), the extinction floor
+    on powered-off MZIs, then the readout's fold."""
+    mode, output_gating = readout
+    tau = leakage_transmission(dev)
+    dead_rows = ~row[:, None, :, None]                   # (r, 1, k1, 1)
+    dead_cols = ~col[:, :, :, None, :, None, :]          # (S, p, q, 1, c, 1, k2)
+    dead = dead_rows | dead_cols
+    target = np.where(dead, -0.0, weight_to_phase(w6))
+    phases = perturbed_phases(target, layout)
+    if noise is not None:
+        phases = phases + noise
+    w = phase_to_weight(phases)
+    w = np.where(dead & (np.abs(w) < tau), np.where(w >= 0, tau, -tau), w)
+    if mode is ExecutionMode.INPUT_GATING:
+        w = np.where(dead_cols, w * tau, w)
+    elif mode is ExecutionMode.INPUT_GATING_LR:
+        w = np.where(dead_cols, 0.0, w)
+    if output_gating:
+        w = np.where(dead_rows, 0.0, w)
+    s_n = w.shape[0]
+    return w.transpose(0, 1, 3, 5, 2, 4, 6).reshape(s_n, P * R * K1, Q * C * K2)
+
+
+@pytest.mark.parametrize("layout", [LAY, LayoutParams(l_g_um=1.0, l_v_um=30.0)],
+                         ids=["band0", "band3"])
+def test_noisy_paths_realize_in_float32_and_quiet_ones_exactly(layout):
+    # Identity inputs read the realized weights off every readout.  Under
+    # phase noise the light path runs in float32 and returns float64 within
+    # 1e-6 of the float64 oracle built from the same draw; without it every
+    # readout equals the oracle bit for bit.
+    w6, _, row, col = _layer_operands(69, n_seeds=2)
+    assert not row.all()
+    eye = np.broadcast_to(np.eye(Q * C * K2).reshape(Q, C, K2, -1),
+                          (2, Q, C, K2, Q * C * K2))
+    for sigma in (0.05, 0.0):
+        dev = DeviceParams(pd_noise_sigma=0.0, phase_noise_sigma_rad=sigma)
+        ys = simulate_layer_readouts(eye, w6, row, col, ALL_READOUTS, layout,
+                                     dev, rng=derive_rng(70))
+        noise = (derive_rng(70).normal(0.0, sigma, size=(2,) + w6.shape)
+                 if sigma else None)
+        for readout, y in zip(ALL_READOUTS, ys, strict=True):
+            assert y.dtype == np.float64
+            oracle = _realized_oracle(w6, row, col, noise, layout, dev, readout)
+            if sigma:
+                assert np.abs(y - oracle).max() <= 1e-6, readout
+                assert not np.array_equal(y, oracle), readout
+            else:
+                assert np.array_equal(y, oracle), readout
+
+
 @pytest.mark.parametrize("output_gating", [False, True])
 @pytest.mark.parametrize("mode", list(ExecutionMode))
 def test_one_core_layer_equals_simulate_mvm_batch(mode, output_gating):

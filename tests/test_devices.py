@@ -143,6 +143,18 @@ def test_phase_to_weight_wraps_outside_programmable_range():
     assert abs(phase_to_weight(2.0)) < 1.0
 
 
+def test_phase_to_weight_keeps_float32_in_place():
+    # A float32 array is mapped in float32, in place when asked; any other
+    # input gives float64.
+    phi = np.linspace(-2.0, 2.0, 9, dtype=np.float32)
+    expected = -np.sin(phi.astype(np.float64))
+    assert phase_to_weight(phi, out=phi) is phi
+    assert phi.dtype == np.float32
+    assert np.abs(phi - expected).max() <= 1e-6
+    for other in (np.linspace(-2.0, 2.0, 9), np.arange(-2, 3), [0.5, -1]):
+        assert phase_to_weight(other).dtype == np.float64
+
+
 # ---------------------------------------------------------------------------
 # power models
 # ---------------------------------------------------------------------------

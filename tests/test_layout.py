@@ -141,6 +141,27 @@ def test_perturbed_phases_slices_a_large_batch_exactly(l_v_um):
         assert np.array_equal(whole[i], perturbed_phases(phases[i], layout))
 
 
+@pytest.mark.parametrize("l_v_um, band", [(120.0, 0), (30.0, 3)])
+def test_perturbed_phases_keeps_float32(l_v_um, band):
+    # Float32 phases are summed in float32, into a strided float32 ``out``
+    # too, within 1e-6 rad of the float64 sum of the same values; float64
+    # and integer phases give float64.
+    lay = LayoutParams(l_g_um=1.0, l_v_um=l_v_um)
+    assert len(row_kernels(16, 16, lay)) == 2 * band + 1
+    single = np.random.default_rng(8).uniform(
+        -math.pi / 2, math.pi / 2, size=(3, 16, 16)).astype(np.float32)
+    got = perturbed_phases(single, lay)
+    assert got.dtype == np.float32
+    double = perturbed_phases(single.astype(np.float64), lay)
+    assert double.dtype == np.float64
+    assert np.abs(got - double).max() <= 1e-6
+    strided = np.moveaxis(np.empty((16, 3, 16), np.float32), 1, 0)
+    assert perturbed_phases(single, lay, out=strided) is strided
+    assert np.array_equal(strided, got)
+    ints = np.arange(-8, 8).reshape(4, 4) % 2
+    assert perturbed_phases(ints, lay).dtype == np.float64
+
+
 def _dense_crosstalk(phases, layout):
     """The full crosstalk sum over the dense coupling tables."""
     k1, k2 = phases.shape[-2:]

@@ -1,10 +1,12 @@
 """End-to-end sparse training, hardware-backed evaluation, checkpoints."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from ptcsim.core import ExecutionMode, derive_rng
-from ptcsim.data import load_dataset, synthetic_separable
+from ptcsim.data import load_dataset, resolve_dataset, synthetic_separable
 from ptcsim.devices import DeviceModelError, DeviceParams
 from ptcsim.layout import LayoutParams
 from ptcsim.nn import build_desk_convnet, build_toy_mlp
@@ -245,6 +247,23 @@ def test_digits_dataset_split():
     assert 0.0 <= x_train.min() and x_train.max() <= 1.0
     assert set(np.unique(y_train)) == set(range(10))
     del y_test
+
+
+def test_digits_substitute_is_announced():
+    # Without scikit-learn, digits loads blobs and says so; with it, no
+    # warning.  blobs never warns.
+    substituted = resolve_dataset("digits") == "blobs"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_dataset("digits", seed=0)
+        load_dataset("blobs", seed=0)
+    messages = [str(w.message) for w in caught
+                if issubclass(w.category, UserWarning)]
+    if substituted:
+        assert len(messages) == 1
+        assert "scikit-learn" in messages[0] and "'blobs'" in messages[0]
+    else:
+        assert messages == []
 
 
 def test_unknown_dataset_name():
