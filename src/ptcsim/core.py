@@ -238,35 +238,6 @@ def _phase_noise(shape, params: DeviceParams, rng: np.random.Generator):
     return None
 
 
-def _fold_state(readout) -> tuple[int, bool]:
-    """What a readout does to the realized weights: (column step, output
-    gating).  The column step is 0 when dead columns keep their weights, 1
-    when a gated modulator scales them by its leakage tau, 2 when their
-    light is rerouted and they read as 0 (boost k2/k2' times readout gain
-    k2'/k2 is 1); output gating zeroes dead rows."""
-    mode, output_gating = readout
-    return mode.gates_inputs + mode.redistributes, output_gating
-
-
-def _chains(states) -> list[list[int]]:
-    """Readout indices in an order that folds one realization in place.
-
-    A fold only scales or zeroes dead columns, or zeroes dead rows, so a
-    readout can follow another in place when neither part of its
-    :func:`_fold_state` is below the other's.  Ungated readouts go first,
-    by column step, then gated ones; when an ungated readout has a larger
-    column step than a gated one, the ungated ones form a chain of their
-    own, folded in a copy.
-    """
-    ungated = sorted((i for i, s in enumerate(states) if not s[1]),
-                     key=lambda i: states[i])
-    gated = sorted((i for i, s in enumerate(states) if s[1]),
-                   key=lambda i: states[i])
-    if ungated and gated and states[ungated[-1]][0] > states[gated[0]][0]:
-        return [ungated, gated]
-    return [ungated + gated]
-
-
 def _realize(w_out, buf, target, noise, row_p, col_p, layout, params, fit,
              coupling_free):
     """Realized weights of a batch of cores, written into ``w_out``.
@@ -281,8 +252,8 @@ def _realize(w_out, buf, target, noise, row_p, col_p, layout, params, fit,
     cast into ``w_out`` after the sine.  ``row_p`` (..., 1, r*k1, 1) and
     ``col_p`` (..., p, 1, q*c*k2) are the masks in that layout.  A
     powered-off weight keeps the extinction-ratio floor.  No step depends
-    on the mode or on output gating, so one realization serves every
-    readout.
+    on the mode, so one realization serves every mode, each folding its
+    input side into it (see :func:`_light_path`).
     """
     p, q, r, c, k1, k2 = target.shape[-6:]
     w_cores = np.moveaxis(buf.reshape(buf.shape[:-3] + (p, r, k1, q, c, k2)),
@@ -314,39 +285,18 @@ def _realize(w_out, buf, target, noise, row_p, col_p, layout, params, fit,
     return w_out
 
 
-def _fold(w, have, want, dead_rows, dead_cols, col_gain):
-    """Fold the readout of state ``want`` into ``w`` in place, ``w`` being
-    in state ``have`` (see :func:`_fold_state`; neither part of ``want``
-    is below ``have``).
-
-    Each mode's input side and readout fold into the weights, so a core
-    computes ``w_fold @ x + sigma * N(0, 1)``.  ``col_gain`` is 1 on live
-    columns and tau on dead ones.
-    """
-    if want[0] > have[0]:
-        if want[0] == 1:
-            w *= col_gain
-        else:
-            np.copyto(w, 0.0, where=dead_cols)
-    if want[1] and not have[1]:
-        np.copyto(w, 0.0, where=dead_rows)
-
-
-def _detector_sd(row, col, readout, params, shape):
-    """Detector-noise sd of each output of a readout, (..., p*r*k1, 1).
+def _detector_sd(row, col, mode, params, shape):
+    """Detector-noise sd of each output of a mode's readout, (..., p*r*k1, 1).
 
     A core's sigma is sigma_pd*sqrt(k2) (k2 nodes summed along an output
-    column), times k2'/k2 under redistribution, 0 on gated rows; an output
-    sums its (q, c) cores' normals, of variance sum_{q,c} sigma^2.
+    column), times k2'/k2 under redistribution; an output sums its (q, c)
+    cores' normals, of variance sum_{q,c} sigma^2.
     """
-    mode, output_gating = readout
     row = row[..., :, None, :]        # (..., r, 1, k1)
     col = col[..., None, :, :]        # (..., p, q, 1, c, k2)
     sigma = np.full(row.shape, params.pd_noise_sigma * math.sqrt(col.shape[-1]))
     if mode.redistributes:
         sigma = sigma * col.mean(axis=-1, keepdims=True)
-    if output_gating:
-        sigma = np.where(row, sigma, 0.0)
     var = np.broadcast_to(sigma ** 2, shape)
     return np.sqrt(var.sum(axis=(-4, -2))).reshape(shape[:-5] + (-1, 1))
 
@@ -361,11 +311,12 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     ``lead`` the broadcast of the leading (batch) shapes.  The phase noise
     (one draw per core) and the detector normals (one per output and
     vector) are drawn once, in that order, for every layout and row mask.
-    Each (row mask, layout) is realized in turn into one buffer, and each
-    of its readouts folds that buffer in place (see :func:`_chains`) and
-    contracts it with ``x2d``.  On a row mask with no dead row, output
-    gating changes nothing, so readouts that differ only in it share one
-    product (one array).  Returns the products (..., p*r*k1, m) as
+    Each (row mask, layout) is realized in turn into one buffer.  Each mode
+    folds its input side into that buffer in place, and one contraction
+    with ``x2d`` gives its product.  Output gating acts on the product:
+    the gated readout is the ungated one with its dead rows set to 0.0,
+    in place unless the ungated readout is asked for too.  On a row mask
+    with no dead row both readouts are one array.  Returns the products (..., p*r*k1, m) as
     ``[layout][row mask][readout]``.
 
     Precision: under phase noise (sigma 1e-2 rad by default, far above
@@ -375,8 +326,9 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     float64, so a quiet product is exact.
     """
     *_, p, q, r, c, k1, k2 = w.shape
+    m = x2d.shape[-1]
     noise = _phase_noise(lead + w.shape[-6:], params, rng)
-    normals = (rng.standard_normal(lead + (p * r * k1, x2d.shape[-1]))
+    normals = (rng.standard_normal(lead + (p * r * k1, m))
                if params.pd_noise_sigma > 0 else None)
     phases = weight_to_phase(w)
     if noise is not None:
@@ -385,47 +337,49 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     col_p = col.reshape(col.shape[:-3] + (1, q * c * k2))
     dead_cols = ~col_p
     col_gain = np.where(col_p, 1.0, leakage_transmission(params))
-    # One buffer serves every realization, and one more every copy.
+    # Declaration order: each mode only adds zeroing or scaling of dead
+    # columns to the one before, so they fold one realization in place.
+    asked = {mode for mode, _ in readouts}
+    modes = [mode for mode in ExecutionMode if mode in asked]
+    sds = {} if normals is None else {
+        mode: _detector_sd(rows[0], col, mode, params, lead + (p, q, r, c, k1))
+        for mode in modes}
+    # One buffer serves every realization.
     cores = lead if noise is not None else np.broadcast_shapes(
         rows.shape[1:-2], w.shape[:-6], col.shape[:-4])
     w_real = np.empty(cores + (p, r * k1, q * c * k2))
     buf = w_real if noise is None else np.empty(w_real.shape, np.float32)
-    w_copy = None
     out = [[None] * len(rows) for _ in layouts]
     for ig, row in enumerate(rows):
         row_p = row.reshape(row.shape[:-2] + (1, r * k1, 1))
         dead_rows = ~row_p
         gates_rows = not row.all()
-        keys = [(mode, og and gates_rows) for mode, og in readouts]
-        distinct = list(dict.fromkeys(keys))
-        states = [_fold_state(key) for key in distinct]
-        chains = _chains(states)
-        if len(chains) > 1 and w_copy is None:
-            w_copy = np.empty_like(w_real)
         # A pruned MZI drives zero phase, weight_to_phase(0) = -0.0.
         target = np.where(col_7, np.where(row[..., None, None, :, None, :, None],
                                           phases, -0.0), -0.0)
-        sds = None if normals is None else [
-            _detector_sd(row, col, key, params, lead + (p, q, r, c, k1))
-            for key in distinct]
         for il, layout in enumerate(layouts):
             _realize(w_real, buf, target, noise, row_p, col_p, layout, params,
                      fit, coupling_free)
-            ys = [None] * len(distinct)
-            for chain in chains:
-                w_fold = w_real
-                if chain is not chains[-1]:
-                    w_fold = w_copy
-                    np.copyto(w_fold, w_real)
-                have = (0, False)
-                for i in chain:
-                    _fold(w_fold, have, states[i], dead_rows, dead_cols, col_gain)
-                    have = states[i]
-                    y = w_fold.reshape(cores + (p * r * k1, q * c * k2)) @ x2d
-                    if sds is not None:
-                        y += sds[i] * normals
-                    ys[i] = y
-            out[il][ig] = [ys[distinct.index(key)] for key in keys]
+            ys = {}
+            for mode in modes:
+                # A gated modulator scales dead columns by its leakage tau;
+                # rerouted light reads them as 0 (boost k2/k2' times
+                # readout gain k2'/k2 is 1).
+                if mode is ExecutionMode.INPUT_GATING:
+                    w_real *= col_gain
+                elif mode.redistributes:
+                    np.copyto(w_real, 0.0, where=dead_cols)
+                y = w_real.reshape(cores + (p * r * k1, q * c * k2)) @ x2d
+                if mode in sds:
+                    y += sds[mode] * normals
+                ys[mode, False] = y
+                if gates_rows and (mode, True) in readouts:
+                    if (mode, False) in readouts:
+                        y = y.copy()
+                    np.copyto(y.reshape(y.shape[:-2] + (p, r * k1, m)), 0.0,
+                              where=dead_rows)
+                ys[mode, True] = y
+            out[il][ig] = [ys[readout] for readout in readouts]
     return out
 
 
@@ -456,54 +410,50 @@ def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
     return y
 
 
-def simulate_layer_readouts(x, w6, row_mask, col_mask, readouts,
-                            layout,
+def simulate_layer_readouts(x, w6, row_masks, col_mask, readouts, layouts,
                             params: DeviceParams = DeviceParams(),
                             fit: GammaFit = GammaFit(),
                             rng: np.random.Generator | int | None = 0,
                             coupling_free: bool = False) -> list:
-    """One mapped layer's noisy product under several readouts.
+    """One mapped layer's noisy products under several layouts, row masks
+    and readouts, sharing every noise draw.
 
     ``w6`` is the (p, q, r, c, k1, k2) weight partition, ``x`` (..., q, c,
-    k2, m), ``row_mask`` (r, k1), ``col_mask`` (..., p, q, c, k2), and
-    ``readouts`` a sequence of (mode, output_gating) pairs.  The layer's
-    light path is realized once, into the contraction's matrix (p*r*k1,
-    q*c*k2); the readouts fold it in place and one contraction each gives
-    (..., p*r*k1, m).  Detector noise is one normal per output and vector,
-    of variance sum_{q,c} sigma^2 (per-core normals summed); the normals
-    are drawn once and scaled by each readout's sigma.
-    Returns one product per readout, each equal bit for bit to a
-    :func:`simulate_layer` call with an identically seeded generator;
-    readouts that read the same product (output gating on and off over a
-    row mask with no dead row) share one array.
+    k2, m), ``row_masks`` a (g, r, k1) stack of row masks, ``col_mask``
+    (..., p, q, c, k2), ``readouts`` a sequence of (mode, output_gating)
+    pairs and ``layouts`` a sequence of :class:`LayoutParams`.  The phase
+    noise and the detector normals are drawn once.  Each (layout, row
+    mask) is realized in turn, one realization alive at a time, into the
+    contraction's matrix (p*r*k1, q*c*k2); each mode folds it in place and
+    one contraction gives (..., p*r*k1, m).  Detector noise is one normal
+    per output and vector, of variance sum_{q,c} sigma^2 (per-core normals
+    summed), scaled by each mode's sigma.  Output gating sets the dead
+    rows of a mode's product to 0.0.
 
-    Several row masks of the layer, stacked as ``row_mask`` (g, r, k1),
-    share one draw of the phase noise and one of the detector normals, and
-    the result is one list of products per mask.  So do several layouts,
-    given as a sequence ``layout``, and the result is one such result per
-    layout.  Each (layout, row mask) is realized in turn, one realization
-    alive at a time, and each of its products equals bit for bit a call
-    with that layout and mask alone and an identically seeded generator.
+    Returns the products as ``[layout][row mask][readout]``, each equal
+    bit for bit to a :func:`simulate_layer` call with that layout, row
+    mask and readout and an identically seeded generator.  Readouts that
+    read one product (output gating on and off over a row mask with no
+    dead row) share one array.
     """
-    x, w6, row, col, rng = _mvm_args(x, w6, row_mask, col_mask, rng)
+    x, w6, row, col, rng = _mvm_args(x, w6, row_masks, col_mask, rng)
     readouts = _readouts(readouts)
     if w6.ndim != 6:
         raise DeviceModelError("layer weights must be partitioned (p, q, r, c, k1, k2)")
     p, q, r, c, k1, k2 = w6.shape
-    if (row.ndim not in (2, 3)
+    if (row.ndim != 3
             or (x.shape[-4:-1], row.shape[-2:], col.shape[-4:])
             != ((q, c, k2), (r, k1), (p, q, c, k2))):
         raise DeviceModelError(
-            f"inputs {x.shape}, row mask {row.shape} or column mask "
+            f"inputs {x.shape}, row masks {row.shape} or column mask "
             f"{col.shape} does not fit the {w6.shape} partition")
+    layouts = list(layouts) if np.iterable(layouts) else []
+    if not layouts or not all(isinstance(lay, LayoutParams) for lay in layouts):
+        raise DeviceModelError("layouts must be a non-empty sequence of LayoutParams")
     lead = _batch_shape(x=x.shape[:-4], col_mask=col.shape[:-4])
-    layouts = [layout] if isinstance(layout, LayoutParams) else list(layout)
-    out = _light_path(x.reshape(x.shape[:-4] + (q * c * k2, x.shape[-1])), w6,
-                      row.reshape((-1, r, k1)), col, readouts, layouts, lead,
-                      params, fit, rng, coupling_free)
-    if row.ndim == 2:
-        out = [groups[0] for groups in out]
-    return out[0] if isinstance(layout, LayoutParams) else out
+    return _light_path(x.reshape(x.shape[:-4] + (q * c * k2, x.shape[-1])), w6,
+                       row, col, readouts, layouts, lead, params, fit, rng,
+                       coupling_free)
 
 
 def simulate_layer(x, w6, row_mask, col_mask, mode: ExecutionMode,
@@ -514,10 +464,12 @@ def simulate_layer(x, w6, row_mask, col_mask, mode: ExecutionMode,
                    output_gating: bool = True,
                    coupling_free: bool = False) -> np.ndarray:
     """One mapped layer's noisy product, every chunk and core in one pass:
-    the one-readout case of :func:`simulate_layer_readouts`."""
-    return simulate_layer_readouts(x, w6, row_mask, col_mask,
-                                   [(mode, output_gating)], layout, params,
-                                   fit, rng, coupling_free)[0]
+    the one-layout, one-mask, one-readout case of
+    :func:`simulate_layer_readouts`.  ``row_mask`` is (r, k1)."""
+    [[[y]]] = simulate_layer_readouts(x, w6, np.asarray(row_mask)[None],
+                                      col_mask, [(mode, output_gating)],
+                                      [layout], params, fit, rng, coupling_free)
+    return y
 
 
 def simulate_mvm(x, w, row_mask=None, col_mask=None,
@@ -558,12 +510,15 @@ def ideal_mvm(x, w, row_mask=None, col_mask=None) -> np.ndarray:
 def nmae(y_actual, y_reference) -> float:
     """Normalized mean absolute error: mean|y - ref| / mean|ref|.
 
-    Raises when the reference is identically zero (the metric is undefined).
+    Raises when the operands are empty or the reference is identically zero
+    (the metric is undefined).
     """
     actual = np.asarray(y_actual, dtype=float)
     ref = np.asarray(y_reference, dtype=float)
     if actual.shape != ref.shape:
         raise DeviceModelError("N-MAE operands must have identical shapes")
+    if ref.size == 0:
+        raise DeviceModelError("N-MAE is undefined for empty operands")
     denom = np.mean(np.abs(ref))
     if denom == 0.0:
         raise DeviceModelError("N-MAE is undefined for an all-zero reference")

@@ -132,14 +132,17 @@ def _power_aware_columns(w6: np.ndarray, row: np.ndarray, col6: np.ndarray,
                          arch: ArchConfig, device: DeviceParams,
                          layout: LayoutParams, fit: GammaFit, margin: int = 2,
                          cap: int = 10000) -> np.ndarray:
-    """Re-pick the kept columns to minimize modeled power, never worse.
+    """Re-pick the kept columns to lower modeled power, never raising it.
 
     Candidate pool = the incumbent choice widened by ``margin`` columns of
     the magnitude ranking; the incumbent itself is always evaluated, so
     the returned selection cannot draw more power than it.  Under
     prune-only accounting only the weight MZIs depend on the column
     choice, so each candidate combination scores as a sum of the model's
-    per-column terms.
+    per-column terms.  This is the pool's minimum only when C(n_keep +
+    margin, n_keep) is at most ``cap``; above it,
+    :func:`~ptcsim.sparsity.combinations_capped` scores an evenly spaced
+    sample of ``cap`` combinations, which can miss the cheapest one.
     """
     shape = col6.shape
     col_mw = ColumnPowerModel(row, w6, arch, device, layout, fit,
@@ -280,35 +283,33 @@ def run_progressive(cfg: Config, seed: int) -> dict:
 # noise / fidelity study
 
 
-def _nmae_block(w6: np.ndarray, x: np.ndarray, row: np.ndarray, col,
-                readouts, device: DeviceParams, layout, fit: GammaFit,
+def _nmae_block(w6: np.ndarray, x: np.ndarray, rows: np.ndarray, col,
+                readouts, device: DeviceParams, layouts, fit: GammaFit,
                 rng: np.random.Generator) -> list:
     """Layer-level N-MAE for a block of seeds, one array (one value per
-    seed) per (mode, output_gating) pair of ``readouts``.
+    seed) per layout, row mask and (mode, output_gating) pair, as
+    ``[layout][row mask][readout]``.
 
-    ``x`` is (S, q, c, k2, m); ``row`` is (r, k1), or (g, r, k1) for g row
-    masks that share every noise draw, giving one such list per mask;
+    ``x`` is (S, q, c, k2, m); ``rows`` is a (g, r, k1) stack of row masks;
     ``col`` is (S, q, c, k2), or None for dense columns, whose mask has no
-    seed axis so that every seed shares one crosstalk pass.  ``layout`` is
-    one :class:`LayoutParams`, or a sequence of them that share every noise
-    draw too, giving one such result per layout.  The readouts share one
-    realized light path, and those that read one product share one N-MAE.
-    The reference masks rows in ``w6`` and columns in ``x``.
+    seed axis so that every seed shares one crosstalk pass; ``layouts`` is
+    a sequence of :class:`LayoutParams`.  Every layout and row mask shares
+    each noise draw, the readouts share one realized light path, and those
+    that read one product share one N-MAE.  The reference masks rows in
+    ``w6`` and columns in ``x``.
     """
     s_n, q, c, k2, m = x.shape
     p, _, r, _, k1, _ = w6.shape
     col_b = (np.ones((1, q, c, k2), dtype=bool) if col is None
              else np.asarray(col, dtype=bool))
-    row = np.asarray(row, dtype=bool)
-    masks = row.reshape((-1,) + row.shape[-2:])
-    layouts = [layout] if isinstance(layout, LayoutParams) else list(layout)
+    rows = np.asarray(rows, dtype=bool)
     by_layout = simulate_layer_readouts(
-        x, w6, masks, np.broadcast_to(col_b[:, None], (len(col_b), p, q, c, k2)),
-        readouts, layout=layouts, params=device, fit=fit, rng=rng)
+        x, w6, rows, np.broadcast_to(col_b[:, None], (len(col_b), p, q, c, k2)),
+        readouts, layouts, params=device, fit=fit, rng=rng)
 
     x_ref = (x * col_b[..., None]).reshape(s_n, q * c * k2, m)
     refs = []
-    for mask in masks:
+    for mask in rows:
         w2d = (w6 * mask[:, None, :, None]).transpose(0, 2, 4, 1, 3, 5)
         y_ref = w2d.reshape(p * r * k1, q * c * k2) @ x_ref
         refs.append((y_ref, np.abs(y_ref).mean(axis=(1, 2))))
@@ -320,11 +321,8 @@ def _nmae_block(w6: np.ndarray, x: np.ndarray, row: np.ndarray, col,
                 done[id(y)] = np.abs(y - y_ref).mean(axis=(1, 2)) / den
         return [done[id(y)] for y in ys]
 
-    out = [[per_seed(ys, y_ref, den) for (y_ref, den), ys in zip(refs, groups)]
-           for groups in by_layout]
-    if row.ndim == 2:
-        out = [groups[0] for groups in out]
-    return out[0] if isinstance(layout, LayoutParams) else out
+    return [[per_seed(ys, y_ref, den) for (y_ref, den), ys in zip(refs, groups)]
+            for groups in by_layout]
 
 
 def _one_sided_z(diffs: np.ndarray) -> dict:
@@ -421,9 +419,9 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
             col = np.zeros(u.shape, dtype=bool)
             np.put_along_axis(col, order[..., :n_keep], True, axis=-1)
             by_layout = _nmae_block(
-                w6, x, np.ones((r, k1), dtype=bool), col, gated_modes, device,
+                w6, x, np.ones((1, r, k1), dtype=bool), col, gated_modes, device,
                 layouts, fit, rng=derive_rng(seed, 44, di, ib))
-            for ilg, nms in enumerate(by_layout):
+            for ilg, [nms] in enumerate(by_layout):
                 for mode, nm in zip(modes, nms):
                     per_mode.setdefault((ilg, di, mode.value), []).append(nm)
 
@@ -489,6 +487,8 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
 
 def run_simulate(cfg: Config, seed: int, n_vectors: int = 4) -> dict:
     """One random crossbar product through every execution mode."""
+    if n_vectors < 1:
+        raise ValueError(f"simulate needs at least 1 vector (--vectors), got {n_vectors}")
     arch, device = cfg.arch, cfg.device
     fit = GammaFit()
     rng = derive_rng(seed, 5)

@@ -197,6 +197,14 @@ def test_nmae_rejects_unusable_counts(tmp_path, capsys, argv, flag):
     assert not (out / "nmae.json").exists()
 
 
+@pytest.mark.parametrize("vectors", ["0", "-2"])
+def test_simulate_rejects_fewer_than_one_vector(tmp_path, capsys, vectors):
+    code, out = _run(tmp_path, "simulate", "--vectors", vectors)
+    assert code == 2
+    assert "--vectors" in capsys.readouterr().err
+    assert not (out / "simulate.json").exists()
+
+
 def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

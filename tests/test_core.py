@@ -442,14 +442,16 @@ def test_readouts_equal_separate_layer_calls(coupling_free, stacked_rows,
     # One realization read out under every (mode, output gating) pair, in
     # order and shuffled, equals separate simulate_layer calls with
     # identically seeded generators bit for bit, phase and detector noise on.
-    # Several stacked row masks and layouts share every draw, and each
-    # (layout, row mask) equals its own call in the same way.  The shuffled
-    # order holds readout sets that cannot all fold one realization in place.
+    # Stacks of one or three row masks and layouts share every draw, and
+    # each (layout, row mask) equals its own call in the same way.  The
+    # readouts' order is not the order in which the modes fold one
+    # realization in place, so the shuffled order must give the same
+    # products.
     w6, x, row, col = _layer_operands(64, n_seeds=2)
     if not seed_axis:
         col = col[:1]  # one column mask shared by both seeds
-    masks = np.stack([row, ~row, np.ones_like(row)]) if stacked_rows else row
-    layouts = LAYOUTS if stacked_layouts else LAY
+    masks = np.stack([row, ~row, np.ones_like(row)]) if stacked_rows else row[None]
+    layouts = LAYOUTS if stacked_layouts else [LAY]
     run = dict(params=DeviceParams(), coupling_free=coupling_free)
     shuffled = [ALL_READOUTS[i]
                 for i in np.random.default_rng(5).permutation(len(ALL_READOUTS))]
@@ -457,11 +459,8 @@ def test_readouts_equal_separate_layer_calls(coupling_free, stacked_rows,
     for readouts in (ALL_READOUTS, shuffled):
         out = simulate_layer_readouts(x, w6, masks, col, readouts, layouts,
                                       rng=derive_rng(65), **run)
-        by_layout = out if stacked_layouts else [out]
-        for layout, groups in zip(LAYOUTS if stacked_layouts else [LAY],
-                                  by_layout, strict=True):
-            groups = groups if stacked_rows else [groups]
-            for mask, ys in zip(masks.reshape(-1, R, K1), groups, strict=True):
+        for layout, groups in zip(layouts, out, strict=True):
+            for mask, ys in zip(masks, groups, strict=True):
                 assert len(ys) == len(readouts)
                 for (mode, og), y in zip(readouts, ys):
                     alone = simulate_layer(x, w6, mask, col, mode, layout,
@@ -469,11 +468,32 @@ def test_readouts_equal_separate_layer_calls(coupling_free, stacked_rows,
                                            rng=derive_rng(65), **run)
                     assert np.array_equal(y, alone)
     # Mode names parse like ExecutionMode members.
-    [named] = simulate_layer_readouts(x, w6, row, col, [("input_gating", True)],
-                                      LAY, rng=derive_rng(65), **run)
+    [[[named]]] = simulate_layer_readouts(x, w6, row[None], col,
+                                          [("input_gating", True)], [LAY],
+                                          rng=derive_rng(65), **run)
     assert np.array_equal(named, simulate_layer(
         x, w6, row, col, ExecutionMode.INPUT_GATING, LAY, rng=derive_rng(65),
         **run))
+
+
+@pytest.mark.parametrize("mode", list(ExecutionMode))
+def test_output_gating_zeroes_dead_rows_of_the_ungated_product(mode):
+    # Output gating acts on the product: with phase and detector noise on,
+    # the gated readout is the ungated one with dead rows set to +0.0, bit
+    # for bit; over an all-ones row mask both readouts are one array.
+    w6, x, row, col = _layer_operands(71, n_seeds=2)
+    assert not row.all()
+    masks = np.stack([row, np.ones_like(row)])
+    [[(ungated, gated), (ones_ungated, ones_gated)]] = simulate_layer_readouts(
+        x, w6, masks, col, [(mode, False), (mode, True)], [LAY],
+        rng=derive_rng(72))
+    dead = ~np.tile(row.reshape(-1), P)
+    assert dead.any() and np.all(ungated[:, dead] != 0.0)
+    expected = ungated.copy()
+    expected[:, dead] = 0.0
+    assert np.array_equal(gated, expected)
+    assert not np.signbit(gated[:, dead]).any()
+    assert ones_gated is ones_ungated
 
 
 def _realized_oracle(w6, row, col, noise, layout, dev, readout):
@@ -514,8 +534,8 @@ def test_noisy_paths_realize_in_float32_and_quiet_ones_exactly(layout):
                           (2, Q, C, K2, Q * C * K2))
     for sigma in (0.05, 0.0):
         dev = DeviceParams(pd_noise_sigma=0.0, phase_noise_sigma_rad=sigma)
-        ys = simulate_layer_readouts(eye, w6, row, col, ALL_READOUTS, layout,
-                                     dev, rng=derive_rng(70))
+        [[ys]] = simulate_layer_readouts(eye, w6, row[None], col, ALL_READOUTS,
+                                         [layout], dev, rng=derive_rng(70))
         noise = (derive_rng(70).normal(0.0, sigma, size=(2,) + w6.shape)
                  if sigma else None)
         for readout, y in zip(ALL_READOUTS, ys, strict=True):
@@ -554,11 +574,18 @@ def test_one_core_layer_equals_simulate_mvm_batch(mode, output_gating):
 def test_readouts_reject_empty_and_unknown_modes():
     w6, x, row, col = _layer_operands(66, n_seeds=1)
     with pytest.raises(DeviceModelError, match="at least one"):
-        simulate_layer_readouts(x, w6, row, col, [], LAY)
+        simulate_layer_readouts(x, w6, row[None], col, [], [LAY])
     with pytest.raises(DeviceModelError, match="unknown execution mode"):
-        simulate_layer_readouts(x, w6, row, col,
+        simulate_layer_readouts(x, w6, row[None], col,
                                 [(ExecutionMode.PRUNE_ONLY, True), ("turbo", True)],
-                                LAY)
+                                [LAY])
+    # One form only: a (g, r, k1) stack of row masks, a sequence of layouts.
+    readouts = [(ExecutionMode.PRUNE_ONLY, True)]
+    with pytest.raises(DeviceModelError, match="does not fit"):
+        simulate_layer_readouts(x, w6, row, col, readouts, [LAY])
+    for layouts in (LAY, [], [LAY, "foundry"]):
+        with pytest.raises(DeviceModelError, match="sequence of LayoutParams"):
+            simulate_layer_readouts(x, w6, row[None], col, readouts, layouts)
 
 
 def test_layer_rejects_mismatched_partitions():
@@ -608,3 +635,6 @@ def test_nmae_basics():
         nmae(np.zeros(2), np.zeros(3))
     with pytest.raises(DeviceModelError, match="all-zero reference"):
         nmae(np.ones(3), np.zeros(3))
+    for shape in ((0,), (4, 0)):
+        with pytest.raises(DeviceModelError, match="empty operands"):
+            nmae(np.zeros(shape), np.zeros(shape))

@@ -179,28 +179,27 @@ def test_nmae_block_dense_columns_match_an_explicit_mask():
     rng = derive_rng(50)
     w6 = rng.uniform(-1.0, 1.0, size=(p, q, r, c, k1, k2))
     x = rng.uniform(0.0, 1.0, size=(s_n, q, c, k2, m))
-    row = np.array([[True, False, True, False], [True, True, True, False]])
+    rows = np.array([[[True, False, True, False], [True, True, True, False]]])
+    ones_col = np.ones((s_n, q, c, k2), dtype=bool)
     for og in (False, True):
-        args = ([(ExecutionMode.PRUNE_ONLY, og)], CFG.device, CFG.layout,
+        args = ([(ExecutionMode.PRUNE_ONLY, og)], CFG.device, [CFG.layout],
                 GammaFit())
-        [dense] = _nmae_block(w6, x, row, None, *args, rng=derive_rng(51))
-        [ones] = _nmae_block(w6, x, row, np.ones((s_n, q, c, k2), dtype=bool),
-                             *args, rng=derive_rng(51))
+        [[[dense]]] = _nmae_block(w6, x, rows, None, *args, rng=derive_rng(51))
+        [[[ones]]] = _nmae_block(w6, x, rows, ones_col, *args, rng=derive_rng(51))
         assert dense.shape == (s_n,)
         assert dense == pytest.approx(ones, rel=0, abs=1e-12)
         assert len(set(dense.tolist())) == s_n
     # Both readouts of a single call agree too, and each equals its own call.
     args = ([(ExecutionMode.PRUNE_ONLY, og) for og in (False, True)],
-            CFG.device, CFG.layout, GammaFit())
-    dense = _nmae_block(w6, x, row, None, *args, rng=derive_rng(51))
-    ones = _nmae_block(w6, x, row, np.ones((s_n, q, c, k2), dtype=bool),
-                       *args, rng=derive_rng(51))
+            CFG.device, [CFG.layout], GammaFit())
+    [[dense]] = _nmae_block(w6, x, rows, None, *args, rng=derive_rng(51))
+    [[ones]] = _nmae_block(w6, x, rows, ones_col, *args, rng=derive_rng(51))
     assert len(dense) == len(ones) == 2
     for og, d, o in zip((False, True), dense, ones):
         assert d == pytest.approx(o, rel=0, abs=1e-12)
-        [alone] = _nmae_block(w6, x, row, None, [(ExecutionMode.PRUNE_ONLY, og)],
-                              CFG.device, CFG.layout, GammaFit(),
-                              rng=derive_rng(51))
+        [[[alone]]] = _nmae_block(w6, x, rows, None,
+                                  [(ExecutionMode.PRUNE_ONLY, og)], CFG.device,
+                                  [CFG.layout], GammaFit(), rng=derive_rng(51))
         assert np.array_equal(d, alone)
 
 
