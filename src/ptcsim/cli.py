@@ -253,9 +253,10 @@ def _cmd_evaluate(args, cfg: Config, seed: int) -> int:
         x=x_test, y=y_test, output_gating=not args.no_output_gating)
     write_json(_out_dir(args) / "evaluate.json", res)
     print(f"clean accuracy  = {res['clean_accuracy']:.4f}")
-    print(f"noisy accuracy  = {res['noisy_accuracy_mean']:.4f} "
-          f"+/- {res['noisy_accuracy_std']:.4f} ({args.trials} trials, "
-          f"mode = {res['mode']})")
+    std = res["noisy_accuracy_std"]
+    spread = "" if std is None else f"+/- {std:.4f} "
+    print(f"noisy accuracy  = {res['noisy_accuracy_mean']:.4f} {spread}"
+          f"({args.trials} trials, mode = {res['mode']})")
     for name, value in res["layer_nmae"].items():
         if value is not None:
             print(f"  {name:<8} N-MAE = {value:.5f}")

@@ -197,40 +197,70 @@ class DstSchedule:
         return 0.5 * self.alpha0 * (1.0 + math.cos(t * math.pi / self.t_end))
 
 
-def _comb_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
-    """rank-th k-subset of range(n) in lexicographic order."""
-    combo = []
-    x = 0
-    for remaining in range(k, 0, -1):
-        while True:
-            block = math.comb(n - x - 1, remaining - 1)
-            if rank < block:
-                break
-            rank -= block
-            x += 1
-        combo.append(x)
-        x += 1
-    return tuple(combo)
+def _unrank(n: int, t: int, ranks: np.ndarray, dtype) -> np.ndarray:
+    """(m, t) rows: the t-subsets of range(n) at the given lexicographic
+    ``ranks``.  Requires C(n, j) < 2**63 for every j <= t."""
+    out = np.empty((ranks.size, t), dtype=dtype)
+    rank = ranks
+    start = np.zeros(ranks.size, dtype=np.int64)
+    for j in range(t):
+        # cum[x]: subsets whose next element is below x, given t - j left.
+        cum = np.fromiter(itertools.accumulate(
+            (math.comb(n - x - 1, t - j - 1) for x in range(n)), initial=0),
+            dtype=np.int64, count=n + 1)
+        offset = rank + cum[start]
+        x = np.searchsorted(cum, offset, side="right") - 1
+        out[:, j] = x
+        rank = offset - cum[x]
+        start = x + 1
+    return out
 
 
-def combinations_capped(n: int, k: int, cap: int) -> list[tuple[int, ...]]:
+def combinations_capped(n: int, k: int, cap: int) -> np.ndarray:
     """k-subsets of range(n) in lexicographic order, sampled when too many.
 
-    When C(n, k) exceeds ``cap``, returns ``cap`` subsets whose
-    lexicographic ranks are spread evenly from first to last — a
-    deterministic slice of the full enumeration, independent of any RNG.
+    Returns an (m, k) array, one subset per row, of the smallest unsigned
+    dtype that holds n - 1.  When C(n, k) exceeds ``cap``, the m = ``cap``
+    rows are the subsets whose lexicographic ranks i*(C(n, k) - 1)//(cap - 1)
+    are spread evenly from first to last: a deterministic slice of the full
+    enumeration, independent of any RNG.  Otherwise every subset is
+    returned.
+
+    All rows are unranked at once, one ``searchsorted`` per element, over
+    whichever side is shorter: the subsets themselves, or their (n - k)
+    complements, whose lexicographic rank is C(n, k) - 1 minus the
+    subset's.  Ranks are int64, so C(n, k) must stay below 2**63, and a
+    sample (C(n, k) > ``cap``) may hold at most 2**31 subsets.
     """
     if k < 0 or n < 0 or k > n:
         raise DeviceModelError(f"invalid combination parameters n={n}, k={k}")
     if cap < 1:
         raise DeviceModelError("cap must be >= 1")
     total = math.comb(n, k)
+    if total >= 2 ** 63:
+        raise DeviceModelError(f"C(n={n}, k={k}) = {total} subsets do not fit "
+                               "int64 ranks")
     if total <= cap:
-        return list(itertools.combinations(range(n), k))
-    if cap == 1:
-        return [_comb_unrank(n, k, 0)]
-    ranks = [i * (total - 1) // (cap - 1) for i in range(cap)]
-    return [_comb_unrank(n, k, rank) for rank in ranks]
+        ranks = np.arange(total, dtype=np.int64)
+    elif cap == 1:
+        ranks = np.zeros(1, dtype=np.int64)
+    else:
+        if cap > 2 ** 31:
+            raise DeviceModelError(f"cap={cap} samples of C(n={n}, k={k}) "
+                                   "must number at most 2**31")
+        # i*(total - 1)//(cap - 1), split so no product leaves int64
+        whole, part = divmod(total - 1, cap - 1)
+        i = np.arange(cap, dtype=np.int64)
+        ranks = i * whole + i * part // (cap - 1)
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    if k <= n - k:
+        return _unrank(n, k, ranks, dtype)
+    dropped = _unrank(n, n - k, total - 1 - ranks, dtype)
+    kept = np.broadcast_to(np.arange(k, dtype=dtype), (ranks.size, k)).copy()
+    for j in range(n - k):
+        # skip the j-th dropped element (ascending), shifting the rest up
+        kept += kept >= dropped[:, j, None]
+    return kept
 
 
 def weight_scale(w) -> float:

@@ -117,6 +117,10 @@ def run_sweep(cfg: Config, threads: int = 1) -> dict:
 # progressive design walk
 
 
+# Rows of combinations scored per vectorized sum in _power_aware_columns.
+_SCORE_BLOCK = 1024
+
+
 def _magnitude_columns(w6: np.ndarray, row6: np.ndarray, n_keep: int) -> np.ndarray:
     """Keep the ``n_keep`` largest-norm columns (norms over unpruned rows)."""
     p, q = w6.shape[:2]
@@ -143,6 +147,11 @@ def _power_aware_columns(w6: np.ndarray, row: np.ndarray, col6: np.ndarray,
     margin, n_keep) is at most ``cap``; above it,
     :func:`~ptcsim.sparsity.combinations_capped` scores an evenly spaced
     sample of ``cap`` combinations, which can miss the cheapest one.
+
+    Combinations are scored in blocks of ``_SCORE_BLOCK`` rows, in
+    lexicographic order after the incumbent.  A combination replaces the
+    best so far only when it draws strictly less, so ties go to the
+    incumbent, then to the first combination scored.
     """
     shape = col6.shape
     col_mw = ColumnPowerModel(row, w6, arch, device, layout, fit,
@@ -153,17 +162,22 @@ def _power_aware_columns(w6: np.ndarray, row: np.ndarray, col6: np.ndarray,
     n_keep = int(col6.sum())
     order = np.argsort(-norms, kind="stable")
     pool = order[:min(n_keep + margin, norms.size)]
+    pool_mw = col_mw[pool]
     incumbent_flat = np.flatnonzero(col6.reshape(-1))
     pool_index = {int(j): i for i, j in enumerate(pool)}
-    incumbent = tuple(sorted(pool_index[int(j)] for j in incumbent_flat))
+    incumbent = np.array(sorted(pool_index[int(j)] for j in incumbent_flat),
+                         dtype=np.intp)
 
-    best_combo, best_power = incumbent, float(col_mw[pool[list(incumbent)]].sum())
-    for combo in combinations_capped(len(pool), n_keep, cap):
-        p_mw = float(col_mw[pool[list(combo)]].sum())
-        if p_mw < best_power:
-            best_combo, best_power = combo, p_mw
+    best_combo, best_power = incumbent, float(pool_mw[incumbent].sum())
+    combos = combinations_capped(len(pool), n_keep, cap)
+    for lo in range(0, len(combos), _SCORE_BLOCK):
+        block = combos[lo:lo + _SCORE_BLOCK]
+        p_mw = pool_mw[block].sum(axis=1)
+        i = int(np.argmin(p_mw))
+        if p_mw[i] < best_power:
+            best_combo, best_power = block[i], float(p_mw[i])
     col = np.zeros(norms.size, dtype=bool)
-    col[pool[list(best_combo)]] = True
+    col[pool[best_combo]] = True
     return col.reshape(shape)
 
 

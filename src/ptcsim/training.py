@@ -251,7 +251,8 @@ def evaluate_with_variation(model: Sequential, masks: dict[int, SparsityMask],
 
     Every conv/linear layer runs on the simulated cores; the final linear
     layer is mapped crosstalk-free.  Returns clean accuracy (exact
-    arithmetic), the per-trial noisy accuracies, and mean N-MAE per layer.
+    arithmetic), the per-trial noisy accuracies with their mean and sample
+    std (None for one trial), and mean N-MAE per layer.
     """
     if n_trials < 1:
         raise DeviceModelError("n_trials must be >= 1")
@@ -292,7 +293,7 @@ def evaluate_with_variation(model: Sequential, masks: dict[int, SparsityMask],
         "output_gating": output_gating,
         "clean_accuracy": clean,
         "noisy_accuracy_mean": float(accs.mean()),
-        "noisy_accuracy_std": float(accs.std()),
+        "noisy_accuracy_std": float(accs.std(ddof=1)) if n_trials > 1 else None,
         "trial_accuracies": [float(a) for a in trial_accs],
         "layer_nmae": {name: (float(np.mean(v)) if v else None)
                        for name, v in layer_nmae.items()},

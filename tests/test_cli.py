@@ -106,7 +106,10 @@ def test_train_then_evaluate_roundtrip(tmp_path, capsys):
     res = json.loads((tmp_path / "ev" / "evaluate.json").read_text())
     assert res["mode"] == "input_gating_lr"
     assert len(res["trial_accuracies"]) == 1
-    assert "clean accuracy" in capsys.readouterr().out
+    assert res["noisy_accuracy_std"] is None      # no spread from one trial
+    printed = capsys.readouterr().out
+    assert "clean accuracy" in printed
+    assert "+/-" not in printed
 
 
 def test_train_records_the_dataset_it_loaded(tmp_path, capsys):

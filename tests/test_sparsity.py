@@ -1,6 +1,7 @@
 """Structured masks, partitioning, schedules and power-aware prune/grow."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -192,15 +193,35 @@ def test_schedule_for_epochs_and_validation():
 # capped combination enumeration
 # ---------------------------------------------------------------------------
 
+def _comb_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
+    """Reference: rank-th k-subset of range(n) in lexicographic order."""
+    combo = []
+    x = 0
+    for remaining in range(k, 0, -1):
+        while True:
+            block = math.comb(n - x - 1, remaining - 1)
+            if rank < block:
+                break
+            rank -= block
+            x += 1
+        combo.append(x)
+        x += 1
+    return tuple(combo)
+
+
+def _rows(combos: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(row) for row in combos.tolist()]
+
+
 def test_combinations_capped_matches_itertools_when_small():
     for n, k in [(5, 2), (4, 4), (3, 0), (6, 1)]:
-        assert combinations_capped(n, k, 10000) == list(
+        assert _rows(combinations_capped(n, k, 10000)) == list(
             itertools.combinations(range(n), k))
 
 
 def test_combinations_capped_sampling_is_a_lex_slice():
     full = list(itertools.combinations(range(6), 3))   # 20 subsets
-    got = combinations_capped(6, 3, 5)
+    got = _rows(combinations_capped(6, 3, 5))
     assert len(got) == 5
     assert got[0] == full[0] and got[-1] == full[-1]
     assert got == sorted(got)                          # still lexicographic
@@ -211,11 +232,63 @@ def test_combinations_capped_sampling_is_a_lex_slice():
 
 
 def test_combinations_capped_edge_cases():
-    assert combinations_capped(6, 3, 1) == [(0, 1, 2)]
+    assert _rows(combinations_capped(6, 3, 1)) == [(0, 1, 2)]
     with pytest.raises(DeviceModelError):
         combinations_capped(3, 4, 10)
     with pytest.raises(DeviceModelError):
         combinations_capped(3, 2, 0)
+
+
+@given(st.data())
+def test_combinations_capped_matches_the_reference_unrank(data):
+    n = data.draw(st.integers(0, 30), label="n")
+    k = data.draw(st.integers(0, n), label="k")
+    total = math.comb(n, k)
+    # caps past 2000 only add rows to the slice; the reference is slow there
+    cap = data.draw(st.integers(1, min(total + 2, 2000)), label="cap")
+    got = combinations_capped(n, k, cap)
+    if total <= cap:
+        ranks = range(total)
+    elif cap == 1:
+        ranks = [0]
+    else:
+        ranks = [i * (total - 1) // (cap - 1) for i in range(cap)]
+    assert _rows(got) == [_comb_unrank(n, k, rank) for rank in ranks]
+    assert got.shape == (len(ranks), k)
+    assert got.dtype == np.min_scalar_type(max(n - 1, 0))
+
+
+def test_combinations_capped_walk_pool_is_uint16_and_ends_on_the_last_subset():
+    got = combinations_capped(348, 346, 10000)
+    assert got.shape == (10000, 346) and got.dtype == np.uint16
+    total = math.comb(348, 346)
+    for i in (0, 1, 4999, 9999):
+        assert tuple(got[i].tolist()) == _comb_unrank(348, 346,
+                                                      i * (total - 1) // 9999)
+
+
+@pytest.mark.parametrize("n, k", [(67, 33), (100, 50), (100, 60)])
+def test_combinations_capped_rejects_ranks_past_int64(n, k):
+    assert math.comb(n, k) >= 2 ** 63
+    with pytest.raises(DeviceModelError, match=f"n={n}, k={k}"):
+        combinations_capped(n, k, 10)
+
+
+def test_combinations_capped_rejects_samples_past_2_pow_31():
+    assert math.comb(40, 20) > 2 ** 31 + 1
+    with pytest.raises(DeviceModelError, match="n=40, k=20"):
+        combinations_capped(40, 20, 2 ** 31 + 1)
+    # a cap above the subset count is no sample: every subset is returned
+    assert combinations_capped(5, 2, 2 ** 40).shape == (10, 2)
+
+
+def test_combinations_capped_takes_the_largest_int64_domain():
+    n, k = 66, 33    # C(66, 33) < 2**63 <= C(67, 33)
+    total = math.comb(n, k)
+    assert total < 2 ** 63 <= math.comb(n + 1, k)
+    got = combinations_capped(n, k, 3)
+    assert _rows(got) == [_comb_unrank(n, k, r)
+                          for r in (0, (total - 1) // 2, total - 1)]
 
 
 # ---------------------------------------------------------------------------

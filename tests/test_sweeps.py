@@ -1,17 +1,23 @@
 """Study runners: report, spacing sweep, progressive walk, fidelity study."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ptcsim.core
+import ptcsim.sweeps
+from ptcsim.arch import ArchConfig, ColumnPowerModel
 from ptcsim.config import SweepSpec, load_config
 from ptcsim.core import ExecutionMode, derive_rng
 from ptcsim.devices import DeviceParams, GammaFit
+from ptcsim.sparsity import combinations_capped
 from ptcsim.sweeps import (
+    _magnitude_columns,
     _nmae_block,
     _one_sided_z,
+    _power_aware_columns,
     format_cell,
     run_nmae_study,
     run_progressive,
@@ -125,6 +131,91 @@ def test_progressive_walk_is_deterministic():
     # dense stages carry no workload randomness; sparse stages may differ
     assert other["rows"][0]["p_avg_w"] == pytest.approx(
         run_progressive(CFG, seed=0)["rows"][0]["p_avg_w"])
+
+
+def _power_aware_reference(w6, row, col6, arch, device, layout, fit,
+                           margin=2, cap=10000):
+    """Reference stage: score one combination at a time, strict ``<``."""
+    col_mw = ptcsim.sweeps.ColumnPowerModel(
+        row, w6, arch, device, layout, fit,
+        ExecutionMode.PRUNE_ONLY).col_unit_mw.reshape(-1)
+    row6 = row[None, None, :, None, :, None]
+    norms = np.sqrt((w6 ** 2 * row6).sum(axis=(2, 4))).reshape(-1)
+    n_keep = int(col6.sum())
+    order = np.argsort(-norms, kind="stable")
+    pool = order[:min(n_keep + margin, norms.size)]
+    pool_index = {int(j): i for i, j in enumerate(pool)}
+    incumbent = tuple(sorted(pool_index[int(j)]
+                             for j in np.flatnonzero(col6.reshape(-1))))
+    best_combo, best_power = incumbent, float(col_mw[pool[list(incumbent)]].sum())
+    for combo in combinations_capped(len(pool), n_keep, cap).tolist():
+        p_mw = float(col_mw[pool[list(combo)]].sum())
+        if p_mw < best_power:
+            best_combo, best_power = combo, p_mw
+    col = np.zeros(norms.size, dtype=bool)
+    col[pool[list(best_combo)]] = True
+    return col.reshape(col6.shape)
+
+
+SMALL_ARCH = ArchConfig(R=2, C=2, k1=4, k2=4, r=2, c=2)
+
+
+def _small_stage_case(seed, n_keep, shuffled=False):
+    """A 32-column layer and its magnitude pick of ``n_keep`` columns, or
+    with ``shuffled`` another pick from the stage's pool (the incumbent is
+    then not the pool's first combination)."""
+    rng = np.random.default_rng(seed)
+    w6 = rng.uniform(-1.0, 1.0, size=(1, 2, 2, 2, 4, 4))
+    row = np.zeros((2, 4), dtype=bool)
+    row[:, ::2] = True
+    row6 = row[None, None, :, None, :, None]
+    if not shuffled:
+        return w6, row, _magnitude_columns(w6, row6, n_keep)
+    pool = _magnitude_columns(w6, row6, n_keep + 2).reshape(-1)
+    keep = rng.choice(np.flatnonzero(pool), size=n_keep, replace=False)
+    col = np.zeros(pool.size, dtype=bool)
+    col[keep] = True
+    return w6, row, col.reshape(1, 2, 2, 4)
+
+
+@pytest.mark.parametrize("block", [1024, 7])
+@pytest.mark.parametrize("cap", [1, 20, 65, 66, 10000])
+@pytest.mark.parametrize("seed", range(4))
+def test_power_aware_columns_matches_the_one_at_a_time_reference(
+        monkeypatch, seed, cap, block):
+    monkeypatch.setattr(ptcsim.sweeps, "_SCORE_BLOCK", block)
+    w6, row, col6 = _small_stage_case(seed, n_keep=10)   # C(12, 10) = 66
+    args = (w6, row, col6, SMALL_ARCH, DeviceParams(), CFG.layout, GammaFit())
+    got = _power_aware_columns(*args, cap=cap)
+    assert np.array_equal(got, _power_aware_reference(*args, cap=cap))
+    assert got.sum() == 10
+    model = ColumnPowerModel(row, w6, SMALL_ARCH, DeviceParams(), CFG.layout,
+                             GammaFit(), ExecutionMode.PRUNE_ONLY)
+    unit = model.col_unit_mw.reshape(-1)
+    assert unit[got.reshape(-1)].sum() <= unit[col6.reshape(-1)].sum()
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("block", [1024, 5])
+@pytest.mark.parametrize("cap", [9, 28, 10000])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_power_aware_columns_ties_keep_the_incumbent_then_the_first(
+        monkeypatch, seed, levels, cap, block, shuffled):
+    # Small integer costs: many subsets tie exactly.  With one level every
+    # subset ties, so only the incumbent may win.
+    monkeypatch.setattr(ptcsim.sweeps, "_SCORE_BLOCK", block)
+    rng = np.random.default_rng(100 + seed)
+    unit = rng.integers(1, levels + 1, size=32).astype(float)
+    monkeypatch.setattr(ptcsim.sweeps, "ColumnPowerModel",
+                        lambda *args: SimpleNamespace(col_unit_mw=unit))
+    w6, row, col6 = _small_stage_case(seed, n_keep=6,    # C(8, 6) = 28
+                                      shuffled=shuffled)
+    args = (w6, row, col6, SMALL_ARCH, DeviceParams(), CFG.layout, GammaFit())
+    got = _power_aware_columns(*args, cap=cap)
+    assert np.array_equal(got, _power_aware_reference(*args, cap=cap))
+    if levels == 1:
+        assert np.array_equal(got, col6)
 
 
 # ---------------------------------------------------------------------------

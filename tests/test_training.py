@@ -192,6 +192,25 @@ def test_evaluate_with_variation_contract():
                                 x=x_test, y=y_test)
 
 
+def test_evaluate_with_variation_reports_the_sample_std():
+    result = _run_toy(0.5, epochs=2)
+    x_test, y_test = _toy_data()[2][:40], _toy_data()[3][:40]
+
+    def run(n_trials):
+        return evaluate_with_variation(result.model, result.masks, DESK_ARCH,
+                                       DeviceParams(), LAY, GammaFit(),
+                                       "prune_only", n_trials=n_trials,
+                                       seed=3, x=x_test, y=y_test)
+
+    two = run(2)
+    assert two["noisy_accuracy_std"] == float(
+        np.std(two["trial_accuracies"], ddof=1))
+    one = run(1)
+    assert len(one["trial_accuracies"]) == 1
+    assert one["noisy_accuracy_std"] is None
+    assert one["noisy_accuracy_mean"] == one["trial_accuracies"][0]
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
