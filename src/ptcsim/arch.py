@@ -206,7 +206,6 @@ class ColumnPowerModel:
         self._input_const_mw = 0.0 if mode.gates_inputs else n_cols * p_channel
         self._pd_const_mw = 0.0 if mode.redistributes else n_cols * p_col_pd
         self._readout_mw = p * q * n_out * p_read
-        self.const_mw = self._readout_mw + self._input_const_mw + self._pd_const_mw
         self.col_unit_mw = self._col_mzi_mw + self._col_input_mw + self._col_pd_mw
 
     def check_mask(self, col_mask) -> np.ndarray:

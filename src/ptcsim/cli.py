@@ -46,6 +46,12 @@ from .training import (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def count(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        return value
+
     parser = argparse.ArgumentParser(
         prog="ptcsim",
         description="Design studies for sparse photonic tensor-core "
@@ -60,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for output files (default: .)")
     parser.add_argument("--format", choices=("csv", "json"), default="json",
                         dest="fmt", help="output file format (default: json)")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=count, default=1,
                         help="worker threads for sweep points (default: 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -152,7 +158,7 @@ def _cmd_report(args, cfg: Config, seed: int) -> int:
 
 
 def _cmd_sweep(args, cfg: Config, seed: int) -> int:
-    res = run_sweep(cfg, threads=max(1, args.threads))
+    res = run_sweep(cfg, threads=args.threads)
     out = _out_dir(args)
     if args.fmt == "csv":
         write_csv(out / "sweep.csv", res["columns"], res["rows"])

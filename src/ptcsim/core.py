@@ -313,11 +313,10 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     vector) are drawn once, in that order, for every layout and row mask.
     Each (row mask, layout) is realized in turn into one buffer.  Each mode
     folds its input side into that buffer in place, and one contraction
-    with ``x2d`` gives its product.  Output gating acts on the product:
-    the gated readout is the ungated one with its dead rows set to 0.0,
-    in place unless the ungated readout is asked for too.  On a row mask
-    with no dead row both readouts are one array.  Returns the products (..., p*r*k1, m) as
-    ``[layout][row mask][readout]``.
+    with ``x2d``, written into the mode's first readout, gives its product;
+    the mode's other readouts copy it.  Output gating acts on the product:
+    a gated readout has its dead rows set to 0.0.  Returns one array,
+    (len(layouts), g, len(readouts)) + lead + (p*r*k1, m).
 
     Precision: under phase noise (sigma 1e-2 rad by default, far above
     float32's 6e-8) the crosstalk, the noise add and the sine run in
@@ -339,8 +338,8 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     col_gain = np.where(col_p, 1.0, leakage_transmission(params))
     # Declaration order: each mode only adds zeroing or scaling of dead
     # columns to the one before, so they fold one realization in place.
-    asked = {mode for mode, _ in readouts}
-    modes = [mode for mode in ExecutionMode if mode in asked]
+    modes = [mode for mode in ExecutionMode
+             if any(each is mode for each, _ in readouts)]
     sds = {} if normals is None else {
         mode: _detector_sd(rows[0], col, mode, params, lead + (p, q, r, c, k1))
         for mode in modes}
@@ -349,18 +348,17 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
         rows.shape[1:-2], w.shape[:-6], col.shape[:-4])
     w_real = np.empty(cores + (p, r * k1, q * c * k2))
     buf = w_real if noise is None else np.empty(w_real.shape, np.float32)
-    out = [[None] * len(rows) for _ in layouts]
+    out = np.empty((len(layouts), len(rows), len(readouts)) + lead + (p * r * k1, m))
     for ig, row in enumerate(rows):
         row_p = row.reshape(row.shape[:-2] + (1, r * k1, 1))
         dead_rows = ~row_p
-        gates_rows = not row.all()
         # A pruned MZI drives zero phase, weight_to_phase(0) = -0.0.
         target = np.where(col_7, np.where(row[..., None, None, :, None, :, None],
                                           phases, -0.0), -0.0)
         for il, layout in enumerate(layouts):
             _realize(w_real, buf, target, noise, row_p, col_p, layout, params,
                      fit, coupling_free)
-            ys = {}
+            ys = out[il, ig]
             for mode in modes:
                 # A gated modulator scales dead columns by its leakage tau;
                 # rerouted light reads them as 0 (boost k2/k2' times
@@ -369,17 +367,16 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
                     w_real *= col_gain
                 elif mode.redistributes:
                     np.copyto(w_real, 0.0, where=dead_cols)
-                y = w_real.reshape(cores + (p * r * k1, q * c * k2)) @ x2d
+                first, *rest = [i for i, (each, _) in enumerate(readouts) if each is mode]
+                np.matmul(w_real.reshape(cores + (p * r * k1, q * c * k2)), x2d,
+                          out=ys[first])
                 if mode in sds:
-                    y += sds[mode] * normals
-                ys[mode, False] = y
-                if gates_rows and (mode, True) in readouts:
-                    if (mode, False) in readouts:
-                        y = y.copy()
-                    np.copyto(y.reshape(y.shape[:-2] + (p, r * k1, m)), 0.0,
+                    ys[first] += sds[mode] * normals
+                ys[rest] = ys[first]
+            for y, (_, output_gating) in zip(ys, readouts):
+                if output_gating:
+                    np.copyto(y.reshape(lead + (p, r * k1, m)), 0.0,
                               where=dead_rows)
-                ys[mode, True] = y
-            out[il][ig] = [ys[readout] for readout in readouts]
     return out
 
 
@@ -403,18 +400,17 @@ def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
     cores = _batch_shape(x=x.shape[:-2], w=w.shape[:-2], row_mask=row.shape[:-1],
                          col_mask=col.shape[:-1])
     # A core is the p = q = r = c = 1 layer.
-    [[[y]]] = _light_path(x, w[..., None, None, None, None, :, :],
-                          row[None, ..., None, :], col[..., None, None, None, :],
-                          readouts, [layout], cores, params, fit, rng,
-                          coupling_free)
-    return y
+    return _light_path(x, w[..., None, None, None, None, :, :],
+                       row[None, ..., None, :], col[..., None, None, None, :],
+                       readouts, [layout], cores, params, fit, rng,
+                       coupling_free)[0, 0, 0]
 
 
 def simulate_layer_readouts(x, w6, row_masks, col_mask, readouts, layouts,
                             params: DeviceParams = DeviceParams(),
                             fit: GammaFit = GammaFit(),
                             rng: np.random.Generator | int | None = 0,
-                            coupling_free: bool = False) -> list:
+                            coupling_free: bool = False) -> np.ndarray:
     """One mapped layer's noisy products under several layouts, row masks
     and readouts, sharing every noise draw.
 
@@ -430,11 +426,10 @@ def simulate_layer_readouts(x, w6, row_masks, col_mask, readouts, layouts,
     summed), scaled by each mode's sigma.  Output gating sets the dead
     rows of a mode's product to 0.0.
 
-    Returns the products as ``[layout][row mask][readout]``, each equal
-    bit for bit to a :func:`simulate_layer` call with that layout, row
-    mask and readout and an identically seeded generator.  Readouts that
-    read one product (output gating on and off over a row mask with no
-    dead row) share one array.
+    Returns one array, (len(layouts), g, len(readouts), ..., p*r*k1, m),
+    whose [layout, row mask, readout] slice equals bit for bit a
+    :func:`simulate_layer` call with that layout, row mask and readout and
+    an identically seeded generator.
     """
     x, w6, row, col, rng = _mvm_args(x, w6, row_masks, col_mask, rng)
     readouts = _readouts(readouts)
@@ -463,13 +458,13 @@ def simulate_layer(x, w6, row_mask, col_mask, mode: ExecutionMode,
                    rng: np.random.Generator | int | None = 0,
                    output_gating: bool = True,
                    coupling_free: bool = False) -> np.ndarray:
-    """One mapped layer's noisy product, every chunk and core in one pass:
-    the one-layout, one-mask, one-readout case of
-    :func:`simulate_layer_readouts`.  ``row_mask`` is (r, k1)."""
-    [[[y]]] = simulate_layer_readouts(x, w6, np.asarray(row_mask)[None],
-                                      col_mask, [(mode, output_gating)],
-                                      [layout], params, fit, rng, coupling_free)
-    return y
+    """One mapped layer's noisy product (..., p*r*k1, m), every chunk and
+    core in one pass: the [0, 0, 0] slice of
+    :func:`simulate_layer_readouts` with one layout, row mask and readout.
+    ``row_mask`` is (r, k1)."""
+    return simulate_layer_readouts(x, w6, np.asarray(row_mask)[None], col_mask,
+                                   [(mode, output_gating)], [layout], params,
+                                   fit, rng, coupling_free)[0, 0, 0]
 
 
 def simulate_mvm(x, w, row_mask=None, col_mask=None,

@@ -93,6 +93,8 @@ def run_sweep(cfg: Config, threads: int = 1) -> dict:
     carrying an ``error`` string; the minimum-PAP flag considers only the
     points that evaluated.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     with ThreadPoolExecutor(max_workers=threads) as pool:
         rows = list(pool.map(lambda pt: _sweep_point(cfg, pt), cfg.sweep.grid()))
 
@@ -264,7 +266,7 @@ def run_progressive(cfg: Config, seed: int) -> dict:
     w6 = partition(w2d, arch)
     rk1 = arch.r * arch.k1
     row = interleaved_ones(rk1, round_half_up(max(PROGRESSIVE_DENSITY, 0.5)
-                                              * rk1)).astype(bool).reshape(arch.r, arch.k1)
+                                              * rk1)).reshape(arch.r, arch.k1)
     row6 = row[None, None, :, None, :, None]
     row_ones = int(row.sum())
     n_keep = round_half_up(PROGRESSIVE_DENSITY * w6.size / row_ones)
@@ -299,44 +301,33 @@ def run_progressive(cfg: Config, seed: int) -> dict:
 
 def _nmae_block(w6: np.ndarray, x: np.ndarray, rows: np.ndarray, col,
                 readouts, device: DeviceParams, layouts, fit: GammaFit,
-                rng: np.random.Generator) -> list:
-    """Layer-level N-MAE for a block of seeds, one array (one value per
-    seed) per layout, row mask and (mode, output_gating) pair, as
-    ``[layout][row mask][readout]``.
+                rng: np.random.Generator) -> np.ndarray:
+    """Layer-level N-MAE for a block of seeds, one value per layout, row
+    mask, (mode, output_gating) pair and seed: an array (len(layouts), g,
+    len(readouts), S).
 
     ``x`` is (S, q, c, k2, m); ``rows`` is a (g, r, k1) stack of row masks;
     ``col`` is (S, q, c, k2), or None for dense columns, whose mask has no
     seed axis so that every seed shares one crosstalk pass; ``layouts`` is
     a sequence of :class:`LayoutParams`.  Every layout and row mask shares
-    each noise draw, the readouts share one realized light path, and those
-    that read one product share one N-MAE.  The reference masks rows in
-    ``w6`` and columns in ``x``.
+    each noise draw, and the readouts share one realized light path.  The
+    reference masks rows in ``w6`` and columns in ``x``.
     """
     s_n, q, c, k2, m = x.shape
     p, _, r, _, k1, _ = w6.shape
     col_b = (np.ones((1, q, c, k2), dtype=bool) if col is None
              else np.asarray(col, dtype=bool))
     rows = np.asarray(rows, dtype=bool)
-    by_layout = simulate_layer_readouts(
+    err = simulate_layer_readouts(
         x, w6, rows, np.broadcast_to(col_b[:, None], (len(col_b), p, q, c, k2)),
         readouts, layouts, params=device, fit=fit, rng=rng)
 
     x_ref = (x * col_b[..., None]).reshape(s_n, q * c * k2, m)
-    refs = []
-    for mask in rows:
-        w2d = (w6 * mask[:, None, :, None]).transpose(0, 2, 4, 1, 3, 5)
-        y_ref = w2d.reshape(p * r * k1, q * c * k2) @ x_ref
-        refs.append((y_ref, np.abs(y_ref).mean(axis=(1, 2))))
-    def per_seed(ys, y_ref, den):
-        # Readouts that read one product share one array, and one N-MAE.
-        done = {}
-        for y in ys:
-            if id(y) not in done:
-                done[id(y)] = np.abs(y - y_ref).mean(axis=(1, 2)) / den
-        return [done[id(y)] for y in ys]
-
-    return [[per_seed(ys, y_ref, den) for (y_ref, den), ys in zip(refs, groups)]
-            for groups in by_layout]
+    w2d = (w6 * rows[:, None, None, :, None, :, None]).transpose(0, 1, 3, 5, 2, 4, 6)
+    y_ref = w2d.reshape(len(rows), 1, p * r * k1, q * c * k2) @ x_ref
+    err -= y_ref[:, None]
+    np.abs(err, out=err)
+    return err.mean(axis=(-2, -1)) / np.abs(y_ref).mean(axis=(-2, -1))[:, None]
 
 
 def _one_sided_z(diffs: np.ndarray) -> dict:
@@ -364,9 +355,9 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
     activations and noise draws; the three row patterns and the gaps
     ``l_g_values`` share one draw of each noise source per seed block and
     study part.  The gaps are thus paired designs (common random numbers),
-    as are the variants within a gap.  Differences are paired, and
-    ``comparisons`` holds one-sided z statistics for the headline
-    orderings.
+    as are the variants within a gap.  Each part's N-MAE is one array,
+    seeds last.  Differences are paired, and ``comparisons`` holds
+    one-sided z statistics for the headline orderings.
     """
     if n_seeds < 2:
         raise ValueError(f"the study needs at least 2 seeds (--trials), got {n_seeds}")
@@ -392,39 +383,29 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
     q = w6.shape[1]
     rk1 = r * k1
 
-    half = interleaved_ones(rk1, rk1 // 2).astype(bool)
-    blocked = np.zeros(rk1, dtype=bool)
-    blocked[:rk1 // 2] = True
-    patterns = {
-        "dense": np.ones(rk1, dtype=bool),
-        "blocked": blocked,
-        "interleaved": half,
-    }
-    row_masks = np.stack([flat.reshape(r, k1) for flat in patterns.values()])
+    patterns = ("dense", "blocked", "interleaved")
+    row_masks = np.stack([np.ones(rk1, dtype=bool), np.arange(rk1) < rk1 // 2,
+                          interleaved_ones(rk1, rk1 // 2)]).reshape(-1, r, k1)
     modes = (ExecutionMode.PRUNE_ONLY, ExecutionMode.INPUT_GATING,
              ExecutionMode.INPUT_GATING_LR)
     gatings = [(ExecutionMode.PRUNE_ONLY, og) for og in (False, True)]
     gated_modes = [(mode, True) for mode in modes]
+    sizes = [min(block_size, n_seeds - lo) for lo in range(0, n_seeds, block_size)]
 
-    n_blocks = -(-n_seeds // block_size)
-    sizes = [min(block_size, n_seeds - b * block_size) for b in range(n_blocks)]
-
-    # -- row patterns, dense columns: N-MAE per (gap, pattern, gating) ----
-    per_variant: dict[tuple, list] = {}
+    # -- row patterns, dense columns: (gap, pattern, gating, seed) --------
+    blocks = []
     for ib, s_n in enumerate(sizes):
         x = derive_rng(seed, 41, ib).uniform(
             0.0, 1.0, size=(s_n, q, c, k2, n_vectors))
-        by_layout = _nmae_block(w6, x, row_masks, None, gatings, device,
-                                layouts, fit, rng=derive_rng(seed, 40, ib))
-        for ilg, by_pattern in enumerate(by_layout):
-            for pname, nms in zip(patterns, by_pattern):
-                for (_, og), nm in zip(gatings, nms):
-                    per_variant.setdefault((ilg, pname, og), []).append(nm)
+        blocks.append(_nmae_block(w6, x, row_masks, None, gatings, device,
+                                  layouts, fit, rng=derive_rng(seed, 40, ib)))
+    row_nmae = np.concatenate(blocks, axis=-1)
 
-    # -- column densities x execution modes: per (gap, density, mode) ----
-    per_mode: dict[tuple, list] = {}
+    # -- column densities x execution modes: per density (gap, mode, seed)
+    mode_nmae = []
     for di, dens in enumerate(col_densities):
         n_keep = round_half_up(float(dens) * k2)
+        blocks = []
         for ib, s_n in enumerate(sizes):
             x = derive_rng(seed, 43, ib).uniform(
                 0.0, 1.0, size=(s_n, q, c, k2, n_vectors))
@@ -432,37 +413,31 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
             order = np.argsort(u, axis=-1)
             col = np.zeros(u.shape, dtype=bool)
             np.put_along_axis(col, order[..., :n_keep], True, axis=-1)
-            by_layout = _nmae_block(
+            blocks.append(_nmae_block(
                 w6, x, np.ones((1, r, k1), dtype=bool), col, gated_modes, device,
-                layouts, fit, rng=derive_rng(seed, 44, di, ib))
-            for ilg, [nms] in enumerate(by_layout):
-                for mode, nm in zip(modes, nms):
-                    per_mode.setdefault((ilg, di, mode.value), []).append(nm)
+                layouts, fit, rng=derive_rng(seed, 44, di, ib))[:, 0])
+        mode_nmae.append(np.concatenate(blocks, axis=-1))
 
     rows: list[dict] = []
     comparisons: list[dict] = []
     for ilg, l_g in enumerate(l_g_values):
-        variant_nmae = {(pname, og): np.concatenate(per_variant[(ilg, pname, og)])
-                        for pname in patterns for _, og in gatings}
-        for (pname, og), vals in variant_nmae.items():
-            rows.append({
-                "study": "row_pattern", "l_g_um": float(l_g),
-                "pattern": pname, "output_gating": og, "mode": "prune_only",
-                "col_density": 1.0, "mean_nmae": float(vals.mean()),
-                "std_nmae": float(vals.std(ddof=1)), "n_seeds": int(vals.size),
-            })
+        for pname, by_gating in zip(patterns, row_nmae[ilg]):
+            for (_, og), vals in zip(gatings, by_gating):
+                rows.append({
+                    "study": "row_pattern", "l_g_um": float(l_g),
+                    "pattern": pname, "output_gating": og, "mode": "prune_only",
+                    "col_density": 1.0, "mean_nmae": float(vals.mean()),
+                    "std_nmae": float(vals.std(ddof=1)), "n_seeds": int(vals.size),
+                })
+        dense, _, interleaved = row_nmae[ilg, :, 1]  # output gating on
         comparisons.append({
             "l_g_um": float(l_g),
             "claim": "interleaved rows + output gating beat dense",
-            **_one_sided_z(variant_nmae[("dense", True)]
-                           - variant_nmae[("interleaved", True)]),
+            **_one_sided_z(dense - interleaved),
         })
 
-        for di, dens in enumerate(col_densities):
-            mode_nmae = {mode.value: np.concatenate(per_mode[(ilg, di, mode.value)])
-                         for mode in modes}
-            for mode in modes:
-                vals = mode_nmae[mode.value]
+        for dens, by_density in zip(col_densities, mode_nmae):
+            for mode, vals in zip(modes, by_density[ilg]):
                 rows.append({
                     "study": "col_mode", "l_g_um": float(l_g),
                     "pattern": "dense", "output_gating": True,
@@ -471,17 +446,16 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
                     "std_nmae": float(vals.std(ddof=1)),
                     "n_seeds": int(vals.size),
                 })
+            prune_only, input_gating, redistributed = by_density[ilg]
             comparisons.append({
                 "l_g_um": float(l_g), "col_density": float(dens),
                 "claim": "input gating beats prune-only",
-                **_one_sided_z(mode_nmae["prune_only"]
-                               - mode_nmae["input_gating"]),
+                **_one_sided_z(prune_only - input_gating),
             })
             comparisons.append({
                 "l_g_um": float(l_g), "col_density": float(dens),
                 "claim": "light redistribution beats input gating",
-                **_one_sided_z(mode_nmae["input_gating"]
-                               - mode_nmae["input_gating_lr"]),
+                **_one_sided_z(input_gating - redistributed),
             })
 
     return {
@@ -509,7 +483,7 @@ def run_simulate(cfg: Config, seed: int, n_vectors: int = 4) -> dict:
     w = rng.uniform(-1.0, 1.0, size=(arch.k1, arch.k2))
     x = rng.uniform(0.0, 1.0, size=(arch.k2, n_vectors))
     row = np.ones(arch.k1, dtype=bool)
-    col = interleaved_ones(arch.k2, arch.k2 // 2).astype(bool)
+    col = interleaved_ones(arch.k2, arch.k2 // 2)
     reference = ideal_mvm(x, w, row, col)
 
     results = {}

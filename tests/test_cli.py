@@ -208,6 +208,15 @@ def test_simulate_rejects_fewer_than_one_vector(tmp_path, capsys, vectors):
     assert not (out / "simulate.json").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", threads, "--out", str(tmp_path), "sweep"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.json").exists()
+
+
 def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -480,7 +480,7 @@ def test_readouts_equal_separate_layer_calls(coupling_free, stacked_rows,
 def test_output_gating_zeroes_dead_rows_of_the_ungated_product(mode):
     # Output gating acts on the product: with phase and detector noise on,
     # the gated readout is the ungated one with dead rows set to +0.0, bit
-    # for bit; over an all-ones row mask both readouts are one array.
+    # for bit; over an all-ones row mask both readouts are equal.
     w6, x, row, col = _layer_operands(71, n_seeds=2)
     assert not row.all()
     masks = np.stack([row, np.ones_like(row)])
@@ -493,7 +493,27 @@ def test_output_gating_zeroes_dead_rows_of_the_ungated_product(mode):
     expected[:, dead] = 0.0
     assert np.array_equal(gated, expected)
     assert not np.signbit(gated[:, dead]).any()
-    assert ones_gated is ones_ungated
+    assert np.array_equal(ones_gated, ones_ungated)
+
+
+@pytest.mark.parametrize("mode", list(ExecutionMode))
+def test_readouts_are_one_array_whose_slices_never_alias(mode):
+    # The products come back as one (layouts, row masks, readouts, seeds,
+    # p*r*k1, m) array.  Over an all-ones row mask the ungated and gated
+    # readouts are equal but own their memory: writing into one leaves the
+    # other unchanged.
+    w6, x, row, col = _layer_operands(73, n_seeds=2)
+    masks = np.stack([row, np.ones_like(row)])
+    out = simulate_layer_readouts(x, w6, masks, col, [(mode, False), (mode, True)],
+                                  LAYOUTS[:2], rng=derive_rng(74))
+    assert isinstance(out, np.ndarray)
+    assert out.shape == (2, 2, 2, 2, P * R * K1, 3)
+    for ungated, gated in out[:, 1]:
+        assert np.array_equal(ungated, gated)
+        assert not np.shares_memory(ungated, gated)
+        before = gated.copy()
+        ungated[...] = np.nan
+        assert np.array_equal(gated, before)
 
 
 def _realized_oracle(w6, row, col, noise, layout, dev, readout):

@@ -10,7 +10,8 @@ import ptcsim.core
 import ptcsim.sweeps
 from ptcsim.arch import ArchConfig, ColumnPowerModel
 from ptcsim.config import SweepSpec, load_config
-from ptcsim.core import ExecutionMode, derive_rng
+from ptcsim.core import (ExecutionMode, derive_rng, ideal_mvm, nmae,
+                         simulate_layer)
 from ptcsim.devices import DeviceParams, GammaFit
 from ptcsim.sparsity import combinations_capped
 from ptcsim.sweeps import (
@@ -61,6 +62,12 @@ def test_sweep_arm_spacing_minimum_sits_at_nine_microns():
 
 def test_sweep_threads_do_not_change_results():
     assert run_sweep(CFG, threads=3) == run_sweep(CFG, threads=1)
+
+
+@pytest.mark.parametrize("threads", [0, -4])
+def test_sweep_rejects_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        run_sweep(CFG, threads=threads)
 
 
 def test_sweep_keeps_failed_points_as_error_rows():
@@ -292,6 +299,37 @@ def test_nmae_block_dense_columns_match_an_explicit_mask():
                                   [(ExecutionMode.PRUNE_ONLY, og)], CFG.device,
                                   [CFG.layout], GammaFit(), rng=derive_rng(51))
         assert np.array_equal(d, alone)
+
+
+def test_nmae_block_matches_separate_layer_calls():
+    # Each [layout, row mask, readout, seed] entry is core.nmae of that
+    # seed's product from its own simulate_layer call (an identically
+    # seeded generator) against the masked product of the weights.
+    p, q, r, c, k1, k2, s_n, m = 2, 2, 2, 2, 4, 4, 3, 2
+    rng = derive_rng(52)
+    w6 = rng.uniform(-1.0, 1.0, size=(p, q, r, c, k1, k2))
+    x = rng.uniform(0.0, 1.0, size=(s_n, q, c, k2, m))
+    col = rng.uniform(size=(s_n, q, c, k2)) < 0.6
+    rows = np.stack([np.ones((r, k1), dtype=bool), rng.uniform(size=(r, k1)) < 0.6])
+    assert not rows[1].all()
+    readouts = [(ExecutionMode.INPUT_GATING, False), (ExecutionMode.INPUT_GATING_LR, True)]
+    layouts = [CFG.layout, dataclasses.replace(CFG.layout, l_g_um=1.0)]
+    got = _nmae_block(w6, x, rows, col, readouts, CFG.device, layouts,
+                      GammaFit(), rng=derive_rng(53))
+    assert got.shape == (2, 2, 2, s_n)
+    w2d = w6.transpose(0, 2, 4, 1, 3, 5).reshape(p * r * k1, q * c * k2)
+    col_b = np.broadcast_to(col[:, None], (s_n, p, q, c, k2))
+    for il, layout in enumerate(layouts):
+        for ig, row in enumerate(rows):
+            for ir, (mode, og) in enumerate(readouts):
+                y = simulate_layer(x, w6, row, col_b, mode, layout,
+                                   params=CFG.device, rng=derive_rng(53),
+                                   output_gating=og)
+                for s in range(s_n):
+                    ref = ideal_mvm(x[s].reshape(q * c * k2, m), w2d,
+                                    np.tile(row.reshape(-1), p), col[s].reshape(-1))
+                    assert got[il, ig, ir, s] == pytest.approx(
+                        nmae(y[s], ref), rel=1e-12)
 
 
 def test_study_realizes_one_light_path_per_pattern_and_column_mask(monkeypatch):
