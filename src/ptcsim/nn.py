@@ -9,6 +9,11 @@ external ML framework is involved.
 Convolutions are evaluated as matrix products on the im2col unfolding, so
 a conv layer's weights live as a (C_out, C_in*K*K) matrix — exactly the
 2-D shape the sparsity partitioner and the hardware mapper consume.
+
+Activations and gradients are laid out batch innermost, (C, H, W, N) in
+memory, and pass between layers as (N, C, H, W) transposed views of it, so
+a conv's patch matrix (C*K*K, H*W*N) is a free reshape of the unfolding.
+Layers accept any memory order and give the same values for each.
 """
 
 from __future__ import annotations
@@ -49,38 +54,41 @@ def fake_quant_unsigned(x: np.ndarray, bits: int | None) -> np.ndarray:
 def im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
     """(N, C, H, W) -> (N, C*k*k, H*W) patch matrix for stride-1 conv.
 
-    One strided copy of the zero-padded image's k x k windows.  The copy is
-    laid out (C*k*k, N, H*W) and returned as a transposed view, so
-    ``cols.transpose(1, 0, 2).reshape(C*k*k, N*H*W)`` -- the matrix a conv
-    layer multiplies -- needs no second copy.
+    The image is zero-padded batch innermost, (C, H+2p, W+2p, N), and its
+    k x k windows are copied once into a (C, k, k, H_out, W_out, N) array,
+    returned as a transposed view.  So ``cols.transpose(1, 2, 0).reshape(
+    C*k*k, H_out*W_out*N)`` -- the matrix a conv layer multiplies, columns
+    in (position, sample) order -- needs no second copy.
     """
     n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad:pad + h, pad:pad + w] = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    l_out = win.shape[2] * win.shape[3]
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n, l_out)
-    return cols.transpose(1, 0, 2)
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x.transpose(1, 2, 3, 0)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    six = np.ascontiguousarray(win.transpose(0, 4, 5, 1, 2, 3))
+    return six.reshape(c * k * k, -1, n).transpose(2, 0, 1)
 
 
 def col2im(cols: np.ndarray, x_shape: tuple, k: int, pad: int) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add patches back onto the image.
 
-    The scatter runs in (C*k*k, H*W, N) memory order, batch innermost, so
-    each of its k*k shifted adds moves whole rows of samples at once.  That
-    order is free when ``cols`` is a view of such an array, as
-    ``Conv2d.backward`` passes; any other layout is copied into it first.
-    The result is an (N, C, H, W) view of a (C, H, W, N) array.
+    The scatter runs in the (C*k*k, H*W, N) memory order :func:`im2col`
+    returns, batch innermost, so each of its k*k shifted adds moves whole
+    rows of samples at once; any other layout is copied into it first.
+    Each add is clipped to the image, so the result is an (N, C, H, W)
+    view of a (C, H, W, N) array with no padding to strip.
     """
     n, c, h, w = x_shape
     h_out = h + 2 * pad - k + 1
     w_out = w + 2 * pad - k + 1
     six = cols.transpose(1, 2, 0).reshape(c, k, k, h_out, w_out, n)
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
+    dx = np.zeros((c, h, w, n), dtype=cols.dtype)
     for i in range(k):
+        r0, r1 = max(0, pad - i), min(h_out, h + pad - i)
         for j in range(k):
-            xp[:, i:i + h_out, j:j + w_out] += six[:, i, j]
-    return xp[:, pad:pad + h, pad:pad + w].transpose(3, 0, 1, 2)
+            s0, s1 = max(0, pad - j), min(w_out, w + pad - j)
+            dx[:, r0 + i - pad:r1 + i - pad, s0 + j - pad:s1 + j - pad] += \
+                six[:, i, j, r0:r1, s0:s1]
+    return dx.transpose(3, 0, 1, 2)
 
 
 @dataclass
@@ -160,12 +168,13 @@ class Conv2d(_MatmulLayer):
     are therefore the same numbers either way, at 1/k^2 of the rounding
     work.
 
-    The output is the product plus bias, returned as an (N, C_out, H_out,
-    W_out) view of it.  A training forward caches ``x2d`` and ``q(W)``;
-    backward is BLAS products on the gradient reshaped to ``g2d``
-    (C_out, N*H_out*W_out): ``dW = g2d @ x2d.T``, ``db = g2d.sum(1)`` and
-    ``dx = col2im(q(W).T @ g2d)``, the last with the columns of ``g2d`` in
-    (position, sample) order, the batch-innermost order col2im scatters in.
+    ``x2d`` is (C_in*k*k, H_out*W_out*N), its columns in (position,
+    sample) order, and the output is the product plus bias, returned as an
+    (N, C_out, H_out, W_out) view of it.  A training forward caches ``x2d``
+    and ``q(W)``; backward is BLAS products on the gradient read in the
+    same order as ``g2d`` (C_out, H_out*W_out*N), a free reshape of a
+    batch-innermost gradient: ``dW = g2d @ x2d.T``, ``db = g2d.sum(1)``
+    and ``dx = col2im(q(W).T @ g2d)``.
     """
 
     def __init__(self, c_in: int, c_out: int, k: int, pad: int,
@@ -199,24 +208,21 @@ class Conv2d(_MatmulLayer):
         wq = fake_quant_symmetric(self.w, self.w_bits)
         l_out = h_out * w_out
         self.vectors_per_sample = l_out
-        x2d = cols.transpose(1, 0, 2).reshape(cols.shape[1], n * l_out)
+        x2d = cols.transpose(1, 2, 0).reshape(cols.shape[1], l_out * n)
         y2d = self._product(wq, x2d) + self.b[:, None]
         if train:
             self._cache = (x.shape, x2d, wq)
-        return y2d.reshape(self.c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
+        return y2d.reshape(self.c_out, h_out, w_out, n).transpose(3, 0, 1, 2)
 
     def backward(self, grad, input_grad: bool = True):
         x_shape, x2d, wq = self._saved()
         n = x_shape[0]
-        g3 = grad.reshape(n, self.c_out, -1)
-        g2d = g3.transpose(1, 0, 2).reshape(self.c_out, -1)
+        g2d = grad.transpose(1, 2, 3, 0).reshape(self.c_out, -1)
         self.dw[...] = g2d @ x2d.T
         self.db[...] = g2d.sum(axis=1)
         if not input_grad:
             return None
-        # The same gradient with its columns in (position, sample) order.
-        g_ln = g3.transpose(1, 2, 0).reshape(self.c_out, -1)
-        dcols = (wq.T @ g_ln).reshape(wq.shape[1], g3.shape[2], n)
+        dcols = (wq.T @ g2d).reshape(wq.shape[1], -1, n)
         return col2im(dcols.transpose(2, 0, 1), x_shape, self.k, self.pad)
 
 
@@ -239,18 +245,20 @@ class Linear(_MatmulLayer):
                 f"{self.name} expects input of shape (N, {self.d_in}), "
                 f"got {x.shape}")
         self.vectors_per_sample = 1
-        xq = fake_quant_unsigned(x, self.in_bits)
+        # A C-contiguous (D_in, N) operand whatever the input's memory
+        # order: BLAS products on other orders can differ in the last bits.
+        x2d = np.ascontiguousarray(fake_quant_unsigned(x, self.in_bits).T)
         wq = fake_quant_symmetric(self.w, self.w_bits)
-        y = self._product(wq, xq.T).T + self.b
+        y = self._product(wq, x2d).T + self.b
         if train:
-            self._cache = (xq, wq)
+            self._cache = (x2d, wq)
         return y
 
     def backward(self, grad, input_grad: bool = True):
-        xq, wq = self._saved()
-        self.dw[...] = grad.T @ xq
+        x2d, wq = self._saved()
+        self.dw[...] = grad.T @ x2d.T
         self.db[...] = grad.sum(axis=0)
-        return grad @ wq if input_grad else None
+        return (wq.T @ grad.T).T if input_grad else None
 
 
 class ReLU(Layer):
@@ -265,7 +273,8 @@ class ReLU(Layer):
 
 
 class AvgPool2d(Layer):
-    """2x2 average pooling, stride 2 (inputs must have even H and W)."""
+    """2x2 average pooling, stride 2 (inputs must have even H and W).
+    Backward returns a batch-innermost gradient."""
 
     def forward(self, x, train: bool = False):
         n, c, h, w = x.shape
@@ -283,20 +292,25 @@ class AvgPool2d(Layer):
         n, c, h, w = self._saved()
         if not input_grad:
             return None
-        g = np.broadcast_to((grad / 4.0)[:, :, :, None, :, None],
-                            (n, c, h // 2, 2, w // 2, 2))
-        return g.reshape(n, c, h, w)
+        g = np.broadcast_to((grad.transpose(1, 2, 3, 0) / 4.0)[:, :, None, :, None],
+                            (c, h // 2, 2, w // 2, 2, n))
+        return g.reshape(c, h, w, n).transpose(3, 0, 1, 2)
 
 
 class Flatten(Layer):
+    """(N, ...) -> (N, D), a free view of a batch-innermost input."""
+
     def forward(self, x, train: bool = False):
         if train:
             self._cache = x.shape
-        return x.reshape(x.shape[0], -1)
+        return np.moveaxis(x, 0, -1).reshape(-1, x.shape[0]).T
 
     def backward(self, grad, input_grad: bool = True):
         shape = self._saved()
-        return grad.reshape(shape) if input_grad else None
+        if not input_grad:
+            return None
+        g = np.ascontiguousarray(grad.T).reshape(shape[1:] + shape[:1])
+        return np.moveaxis(g, -1, 0)
 
 
 class Sequential:

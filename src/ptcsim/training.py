@@ -109,12 +109,6 @@ def _dense_mask(layer: _MatmulLayer, arch: ArchConfig, device: DeviceParams,
                       layer.w, device, layout, fit)
 
 
-def apply_masks(model: Sequential, masks: dict[int, SparsityMask]) -> None:
-    for idx, mask in masks.items():
-        layer = model.layers[idx]
-        layer.w *= mask.to_dense(*layer.w.shape)
-
-
 def evaluate_accuracy(model: Sequential, x: np.ndarray, y: np.ndarray,
                       batch_size: int = 512) -> float:
     hits = 0
@@ -184,9 +178,9 @@ def train(model: Sequential, sparse_layers: list[int], data: tuple,
                           layer.w, device, layout, fit)
         masks[idx] = mask
         dense_m[idx] = mask.to_dense(*layer.w.shape)
+        layer.w *= dense_m[idx]
         usable = mask.col.size - mask.col.shape[0] * int(mask.padded_col.sum())
         explore[idx] = int(mask.col.sum()) < usable
-    apply_masks(model, masks)
 
     opt = Adam(model.params(), lr=lr)
     history: list[dict] = []
@@ -209,7 +203,8 @@ def train(model: Sequential, sparse_layers: list[int], data: tuple,
                 grad_acc[idx] += model.layers[idx].dw
                 model.layers[idx].dw *= dense_m[idx]
             opt.step()
-            apply_masks(model, masks)
+            for idx in sparse_layers:
+                model.layers[idx].w *= dense_m[idx]
             loss_sum += loss
             n_batches += 1
 
@@ -226,7 +221,7 @@ def train(model: Sequential, sparse_layers: list[int], data: tuple,
                                      device, layout, fit)
                 masks[idx] = grown
                 dense_m[idx] = grown.to_dense(*layer.w.shape)
-            apply_masks(model, masks)
+                layer.w *= dense_m[idx]
 
         acc = evaluate_accuracy(model, x_test, y_test)
         density = (float(np.mean([m.density() for m in masks.values()]))

@@ -183,7 +183,8 @@ def test_conv2d_backward_matches_einsum_reference(k, pad):
     x_shape, x2d, wq = conv._cache
     assert x_shape == x.shape
     cols = fake_quant_unsigned(im2col(x, k, pad), 6)
-    assert np.array_equal(x2d, cols.transpose(1, 0, 2).reshape(x2d.shape))
+    # x2d's columns run in (position, sample) order, the batch innermost.
+    assert np.array_equal(x2d, cols.transpose(1, 2, 0).reshape(x2d.shape))
     assert np.array_equal(wq, fake_quant_symmetric(conv.w, 8))
 
     g3 = g.reshape(3, 4, -1)
@@ -351,6 +352,149 @@ def test_adam_matches_reference_implementation():
         v_hat = v / (1 - 0.999 ** t)
         ref -= 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert np.allclose(p.value, ref, rtol=1e-10, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# memory layout: batch innermost
+# ---------------------------------------------------------------------------
+
+def _batch_innermost(a):
+    return a.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
+def _three_forms(x):
+    """One input as a C-contiguous array, a batch-innermost view and a
+    strided slice of a larger array: the same values, three memory orders."""
+    inner = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+    big = np.full(tuple(2 * d for d in x.shape), np.nan)
+    strided = big[(slice(None, None, 2),) * x.ndim]
+    strided[...] = x
+    assert _batch_innermost(inner) if x.ndim == 4 else inner.T.flags.c_contiguous
+    return {"contiguous": np.ascontiguousarray(x), "batch-innermost": inner,
+            "strided": strided}
+
+
+@pytest.mark.parametrize("make,shape", [
+    (lambda rng: Conv2d(3, 4, 3, 1, rng, "conv", 8, 6), (5, 3, 6, 4)),
+    (lambda rng: ReLU(), (5, 3, 6, 4)),
+    (lambda rng: AvgPool2d(), (5, 3, 6, 4)),
+    (lambda rng: Flatten(), (5, 3, 6, 4)),
+    # 64 inputs: there the BLAS product's bits depend on the operand order.
+    (lambda rng: Linear(64, 10, rng, "fc", 8, 6), (5, 64)),
+])
+def test_layers_give_the_same_values_in_every_memory_order(make, shape):
+    rng = np.random.default_rng(40)
+    x = rng.normal(size=shape)
+    results = []
+    for form, xf in _three_forms(x).items():
+        layer = make(np.random.default_rng(41))
+        y = layer.forward(xf, train=True)
+        g = np.random.default_rng(42).normal(size=y.shape)
+        dx = layer.backward(g)
+        grads = [p.grad.copy() for p in layer.params()]
+        results.append((y, dx, grads))
+        if isinstance(layer, Conv2d):
+            assert _batch_innermost(y), form
+        if isinstance(layer, (Conv2d, AvgPool2d)):
+            assert _batch_innermost(dx), form
+    y0, dx0, grads0 = results[0]
+    for y, dx, grads in results[1:]:
+        assert np.array_equal(y, y0)
+        assert np.array_equal(dx, dx0)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, grads0))
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (4, 3, 5), (4, 3, 2, 2)])
+def test_flatten_round_trips_any_rank(shape):
+    x = np.random.default_rng(43).normal(size=shape)
+    flat = Flatten()
+    y = flat.forward(x, train=True)
+    assert np.array_equal(y, x.reshape(shape[0], -1))
+    back = flat.backward(y)
+    assert back.shape == shape and np.array_equal(back, x)
+
+
+def _reference_step(model, x, labels):
+    """The desk CNN's training forward and backward on C-contiguous NCHW
+    arrays: loop unfolding in (sample, position) order, einsum gradients.
+    Returns the per-layer outputs and the parameter gradients."""
+    outs, caches = [], []
+    h = x
+    for layer in model.layers:
+        if isinstance(layer, Conv2d):
+            n, c, hh, ww = h.shape
+            k, pad = layer.k, layer.pad
+            ho, wo = hh + 2 * pad - k + 1, ww + 2 * pad - k + 1
+            xp = np.pad(fake_quant_unsigned(h, layer.in_bits),
+                        ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+            cols = np.empty((n, c, k, k, ho, wo))
+            for i in range(k):
+                for j in range(k):
+                    cols[:, :, i, j] = xp[:, :, i:i + ho, j:j + wo]
+            cols = cols.reshape(n, c * k * k, ho * wo)
+            wq = fake_quant_symmetric(layer.w, layer.w_bits)
+            x2d = cols.transpose(1, 0, 2).reshape(c * k * k, n * ho * wo)
+            y = (wq @ x2d + layer.b[:, None]).reshape(-1, n, ho, wo)
+            caches.append((h.shape, cols, wq))
+            h = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
+        elif isinstance(layer, ReLU):
+            caches.append(h > 0)
+            h = np.maximum(h, 0.0)
+        elif isinstance(layer, AvgPool2d):
+            caches.append(h.shape)
+            h = (h[:, :, 0::2, 0::2] + h[:, :, 0::2, 1::2]
+                 + (h[:, :, 1::2, 0::2] + h[:, :, 1::2, 1::2])) / 4.0
+        elif isinstance(layer, Flatten):
+            caches.append(h.shape)
+            h = h.reshape(h.shape[0], -1)
+        else:
+            xq = fake_quant_unsigned(h, layer.in_bits)
+            wq = fake_quant_symmetric(layer.w, layer.w_bits)
+            caches.append((xq, wq))
+            h = (wq @ np.ascontiguousarray(xq.T)).T + layer.b
+        outs.append(h)
+    _, g = softmax_cross_entropy(h, labels)
+    grads = {}
+    for layer, cache in zip(model.layers[::-1], caches[::-1]):
+        if isinstance(layer, Conv2d):
+            x_shape, cols, wq = cache
+            g3 = g.reshape(x_shape[0], layer.c_out, -1)
+            grads[layer.name] = (np.einsum("nol,nfl->of", g3, cols),
+                                 g3.sum(axis=(0, 2)))
+            g = _reference_col2im(np.einsum("of,nol->nfl", wq, g3), x_shape,
+                                  layer.k, layer.pad)
+        elif isinstance(layer, ReLU):
+            g = g * cache
+        elif isinstance(layer, AvgPool2d):
+            g = np.repeat(np.repeat(g / 4.0, 2, axis=2), 2, axis=3)
+        elif isinstance(layer, Flatten):
+            g = g.reshape(cache)
+        else:
+            xq, wq = cache
+            grads[layer.name] = (g.T @ xq, g.sum(axis=0))
+            g = g @ wq
+    return outs, grads
+
+
+def test_desk_cnn_step_matches_the_nchw_reference():
+    model, _ = build_desk_convnet(derive_rng(0, 10))
+    rng = np.random.default_rng(44)
+    x = rng.uniform(0, 1, size=(6, 1, 8, 8))
+    labels = rng.integers(0, 10, size=6)
+    ref_outs, ref_grads = _reference_step(model, x, labels)
+
+    h = x
+    for layer, ref in zip(model.layers, ref_outs):
+        h = layer.forward(h, train=True)
+        assert np.array_equal(h, ref), type(layer).__name__
+        if isinstance(layer, Conv2d):
+            assert _batch_innermost(h)
+    _, g = softmax_cross_entropy(h, labels)
+    model.backward(g)
+    for layer in model.matmul_layers():
+        dw, db = ref_grads[layer.name]
+        np.testing.assert_allclose(layer.dw, dw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(layer.db, db, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

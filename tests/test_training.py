@@ -15,7 +15,6 @@ from ptcsim.training import (
     DESK_ARCH,
     PhotonicBackend,
     TrainResult,
-    apply_masks,
     evaluate_accuracy,
     evaluate_with_variation,
     load_checkpoint,
@@ -150,15 +149,6 @@ def test_model_power_weights_layers_by_chunk_cycles():
         n_cycles += chunks * vectors
     got = model_power_w(model, {}, DESK_ARCH, QUIET, LAY, GammaFit(), x)
     assert got == pytest.approx(energy / n_cycles / 1e3, rel=1e-12)
-
-
-def test_apply_masks_zeroes_dead_weights():
-    model, _ = _toy_model()
-    mask = init_masks(0.5, 16, 16, DESK_ARCH, model.layers[2].w, QUIET, LAY)
-    apply_masks(model, {2: mask})
-    dense = mask.to_dense(16, 16)
-    assert np.all(model.layers[2].w[~dense] == 0.0)
-    assert np.any(model.layers[2].w[dense] != 0.0)
 
 
 # ---------------------------------------------------------------------------
