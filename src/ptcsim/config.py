@@ -195,16 +195,7 @@ def load_config(path: str | Path | None) -> Config:
     if raw:
         raise ConfigError("unknown section(s): " + ", ".join(sorted(raw)))
 
-    # Layout and device both carry the phase-shifter width; keep them glued.
-    layout: LayoutParams = sections["layout"]
-    device: DeviceParams = sections["device"]
-    if layout.ps_width_um != device.ps_width_um:
-        raise ConfigError(
-            f"layout.ps_width_um={layout.ps_width_um} disagrees with "
-            f"device.ps_width_um={device.ps_width_um}")
-
-    return Config(device=device, layout=layout, arch=sections["arch"],
-                  dst=sections["dst"], sweep=sections["sweep"], seed=seed)
+    return Config(**sections, seed=seed)
 
 
 def apply_overrides(cfg: Config, point: dict[str, object]) -> Config:
@@ -212,20 +203,12 @@ def apply_overrides(cfg: Config, point: dict[str, object]) -> Config:
 
     Section validation reruns on the new values, so an out-of-range value
     surfaces as a ConfigError naming the point rather than a crash deep in
-    a model call.  The phase-shifter width stays mirrored between the
-    device and layout sections when only one side is swept.
+    a model call.
     """
     per_section: dict[str, dict] = {}
     for path, value in point.items():
         section, field = _axis_field(path)
         per_section.setdefault(section, {})[field] = value
-
-    dev_over = per_section.get("device", {})
-    lay_over = per_section.get("layout", {})
-    if "ps_width_um" in dev_over and "ps_width_um" not in lay_over:
-        per_section.setdefault("layout", {})["ps_width_um"] = dev_over["ps_width_um"]
-    if "ps_width_um" in lay_over and "ps_width_um" not in dev_over:
-        per_section.setdefault("device", {})["ps_width_um"] = lay_over["ps_width_um"]
 
     try:
         device = dataclasses.replace(cfg.device, **per_section.get("device", {}))
@@ -233,9 +216,6 @@ def apply_overrides(cfg: Config, point: dict[str, object]) -> Config:
         arch = dataclasses.replace(cfg.arch, **per_section.get("arch", {}))
     except (DeviceModelError, TypeError, ValueError) as exc:
         raise ConfigError(f"sweep point {point}: {exc}") from exc
-    if layout.ps_width_um != device.ps_width_um:
-        raise ConfigError(
-            f"sweep point {point}: device and layout phase-shifter widths disagree")
     return dataclasses.replace(cfg, device=device, layout=layout, arch=arch)
 
 

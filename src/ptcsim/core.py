@@ -99,12 +99,32 @@ def tree_leaves(k2: int) -> int:
     return 1 << (k2 - 1).bit_length()
 
 
-def _split_phase(up: int, lo: int) -> float:
-    """Node phase realizing the split up:(up+lo); a dead subtree (up + lo = 0)
-    leaves the splitter at its zero-power balanced point."""
-    if up + lo == 0:
-        return 0.0
-    return 2.0 * math.acos(math.sqrt(up / (up + lo))) - math.pi / 2
+def tree_counts(col_mask) -> list[np.ndarray]:
+    """Live-leaf counts of each level of the splitter tree, leaves first.
+
+    For (..., k2) column patterns, level h is (..., n >> h) with n =
+    :func:`tree_leaves` (padding leaves dead): entry t counts the live
+    leaves under node t of that level, whose children are entries 2t and
+    2t+1 of level h - 1.  The last level is the root, (..., 1).
+    """
+    col = np.asarray(col_mask, dtype=bool)
+    counts = np.zeros(col.shape[:-1] + (tree_leaves(col.shape[-1]),), dtype=np.intp)
+    counts[..., :col.shape[-1]] = col
+    levels = [counts]
+    while counts.shape[-1] > 1:
+        counts = counts[..., 0::2] + counts[..., 1::2]
+        levels.append(counts)
+    return levels
+
+
+def _split_phase(half: int) -> np.ndarray:
+    """Node phases (rad): [u, l] realizes the split u:(u+l) of a node with u
+    live leaves under its upper subtree and l under its lower one (0 <= u,
+    l <= ``half``), 2*arccos(sqrt(u/(u+l))) - pi/2; a dead subtree (u + l
+    = 0) leaves the splitter at its zero-power balanced point."""
+    return np.array([[2.0 * math.acos(math.sqrt(u / (u + lo))) - math.pi / 2
+                      if u + lo else 0.0 for lo in range(half + 1)]
+                     for u in range(half + 1)])
 
 
 def rerouter_node_mw(k2: int, arm_spacing_um: float = 9.0,
@@ -119,23 +139,17 @@ def rerouter_node_mw(k2: int, arm_spacing_um: float = 9.0,
     """
     if k2 < 1:
         raise DeviceModelError("a rerouter needs at least one port")
-    half = tree_leaves(k2) // 2
-    phases = [[abs(_split_phase(u, lo)) for lo in range(half + 1)]
-              for u in range(half + 1)]
-    return mzi_power(np.asarray(phases), arm_spacing_um, params, fit)
+    return mzi_power(np.abs(_split_phase(tree_leaves(k2) // 2)),
+                     arm_spacing_um, params, fit)
 
 
 def rerouter_tree_mw(col_mask, node_mw) -> np.ndarray:
     """Rerouter power (mW) of each (..., k2) column pattern: ``node_mw``
     (from :func:`rerouter_node_mw`) summed over the tree, level by level."""
-    col = np.asarray(col_mask, dtype=bool)
-    counts = np.zeros(col.shape[:-1] + (tree_leaves(col.shape[-1]),), dtype=np.intp)
-    counts[..., :col.shape[-1]] = col
-    total = np.zeros(col.shape[:-1])
-    while counts.shape[-1] > 1:
-        up, lo = counts[..., 0::2], counts[..., 1::2]
-        total += node_mw[up, lo].sum(axis=-1)
-        counts = up + lo
+    levels = tree_counts(col_mask)
+    total = np.zeros(levels[0].shape[:-1])
+    for counts in levels[:-1]:
+        total += node_mw[counts[..., 0::2], counts[..., 1::2]].sum(axis=-1)
     return total
 
 
@@ -144,45 +158,42 @@ def rerouter_configure(col_mask, arm_spacing_um: float = 9.0,
                        fit: GammaFit = GammaFit()) -> RerouterState:
     """Set the tree splitters so active ports share the light evenly.
 
-    Each internal node splits its intensity in the ratio of unpruned leaves
-    under its upper vs. lower subtree; the phase that realizes a ratio
-    u:(u+l) is 2*arccos(sqrt(u/(u+l))) - pi/2, and a dead subtree (u+l = 0)
-    leaves the splitter at its zero-power balanced point.  Non-power-of-two
-    port counts are padded with permanently pruned dummy leaves.  The power
-    is read from :func:`rerouter_node_mw`.
+    Each internal node splits its intensity in the ratio u:(u+l) of
+    unpruned leaves under its upper vs. lower subtree (counted by
+    :func:`tree_counts`), at the phase :func:`rerouter_node_mw` prices; a
+    dead subtree leaves the splitter at its zero-power balanced point.  A
+    leaf's intensity is the product of the ratios on its path, so a dead
+    leaf reads exactly 0.0.  Non-power-of-two port counts are padded with
+    permanently pruned dummy leaves.  ``col_mask`` must be 1-D and
+    non-empty.
     """
-    mask = [1 if m else 0 for m in np.asarray(col_mask).ravel().tolist()]
-    if len(mask) == 0:
+    mask = np.asarray(col_mask).astype(bool)
+    if mask.ndim != 1:
+        raise DeviceModelError(f"column mask must be 1-D, got shape {mask.shape}")
+    if mask.size == 0:
         raise DeviceModelError("column mask must be non-empty")
-    n = tree_leaves(len(mask))
-    padded = mask + [0] * (n - len(mask))
+    levels = tree_counts(mask)
+    phase = _split_phase(levels[0].size // 2)
 
-    # Leaf counts percolate up the heap: counts[i] = unpruned leaves below.
-    counts = [0] * (n - 1) + padded
-    for i in range(n - 2, -1, -1):
-        counts[i] = counts[2 * i + 1] + counts[2 * i + 2]
+    # Level by level from the root (unit input): heap order.
+    ups, los = [], []
+    intens = np.ones(1)
+    for counts in levels[-2::-1]:
+        up, lo = counts[0::2], counts[1::2]
+        frac_up = np.divide(up, up + lo, out=np.full(up.shape, 0.5),
+                            where=up + lo > 0)
+        intens = np.stack([intens * frac_up, intens * (1.0 - frac_up)],
+                          axis=-1).reshape(-1)
+        ups += up.tolist()
+        los += lo.tolist()
 
-    ratios = [(counts[2 * i + 1], counts[2 * i + 2]) for i in range(n - 1)]
-    phases = [_split_phase(up, lo) for up, lo in ratios]
-
-    # Intensity propagation from the root (unit input).
-    intens = [0.0] * (2 * n - 1)
-    intens[0] = 1.0
-    for i in range(n - 1):
-        up, lo = ratios[i]
-        total = up + lo
-        frac_up = 0.5 if total == 0 else up / total
-        intens[2 * i + 1] = intens[i] * frac_up
-        intens[2 * i + 2] = intens[i] * (1.0 - frac_up)
-
-    node_mw = rerouter_node_mw(len(mask), arm_spacing_um, params, fit)
-    ups, los = np.asarray(ratios, dtype=np.intp).reshape(-1, 2).T
+    node_mw = rerouter_node_mw(mask.size, arm_spacing_um, params, fit)
     return RerouterState(
-        col_mask=tuple(mask),
-        node_phases_rad=tuple(phases),
-        node_ratios=tuple(ratios),
-        leaf_intensities=tuple(intens[n - 1:n - 1 + len(mask)]),
-        total_power_mw=float(np.sum(node_mw[ups, los])),
+        col_mask=tuple(mask.astype(int).tolist()),
+        node_phases_rad=tuple(phase[ups, los].tolist()),
+        node_ratios=tuple(zip(ups, los)),
+        leaf_intensities=tuple(intens[:mask.size].tolist()),
+        total_power_mw=float(rerouter_tree_mw(mask, node_mw)),
     )
 
 

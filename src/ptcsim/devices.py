@@ -146,7 +146,6 @@ class DeviceParams:
 
     # -- phase shifters / weight MZIs ------------------------------------
     p_pi_mw: float = 15.0           # heater power for a pi phase shift, crosstalk-free
-    ps_width_um: float = 6.0        # phase-shifter (heater) width
     node_length_um: float = 115.0   # Y-branch + phase shifter + combiner length
     foundry_mzi_length_um: float = 550.0
     foundry_mzi_width_um: float = 156.25
@@ -172,7 +171,7 @@ class DeviceParams:
 
     def __post_init__(self) -> None:
         positive = (
-            "p_pi_mw", "ps_width_um", "node_length_um",
+            "p_pi_mw", "node_length_um",
             "foundry_mzi_length_um", "foundry_mzi_width_um",
             "extinction_ratio_db",
         )

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import ArchConfig, ColumnPowerModel
-from .core import tree_leaves
+from .core import tree_counts
 from .devices import DeviceModelError, DeviceParams, GammaFit
 from .layout import LayoutParams
 
@@ -362,39 +362,35 @@ def _tree_dp(free, live, unit_mw, node_mw, n_select: int, turn_on: bool):
     leaf) pairs in ascending order and the number of DP cells filled.
     """
     n_mod, k2 = free.shape
-    n = tree_leaves(k2)
     sign = 1 if turn_on else -1
-
-    def widen(a, fill):
-        out = np.full((n_mod, n), fill, dtype=a.dtype)
-        out[:, :k2] = a
-        return out
-
-    free, live, unit_mw = widen(free, False), widen(live, False), widen(unit_mw, 0.0)
-    # Level 0: a leaf's power with j = 0 or 1 of its pool columns switched.
-    cost = np.stack([np.where(live, unit_mw, 0.0),
-                     np.where(free, np.where(live, 0.0, unit_mw), np.inf)], axis=-1)
-    # levels[h] = (cost, live0) for subtrees of 2**h leaves: cost[m, t, j] is
-    # the subtree's lowest power with j pool columns switched, live0 its
-    # live-leaf count with none switched (with j switched: live0 + sign*j).
-    levels = [(cost, live.astype(np.intp))]
-    size = 1
-    while size < n:
-        cost, live0 = levels[-1]
+    # counts[h][m, t]: live leaves under node t of level h with no pool
+    # column switched (with j switched: counts[h][m, t] + sign*j).
+    counts = tree_counts(live)
+    n = counts[0].shape[-1]
+    # Level 0: a leaf's power with j = 0 or 1 of its pool columns switched;
+    # a padding leaf is dead and never free.
+    cost = np.zeros((n_mod, n, 2))
+    cost[:, k2:, 1] = np.inf
+    cost[:, :k2, 0] = np.where(live, unit_mw, 0.0)
+    cost[:, :k2, 1] = np.where(free, np.where(live, 0.0, unit_mw), np.inf)
+    # costs[h][m, t, j]: lowest power of the subtree under node t of level
+    # h (2**h leaves) with j pool columns switched.
+    costs = [cost]
+    for h, live0 in enumerate(counts[:-1]):
+        size = 1 << h
         j = np.arange(size + 1)
         pair = cost[:, 0::2, :, None] + cost[:, 1::2, None, :]
         if node_mw is not None:
             up = np.clip(live0[:, 0::2, None] + sign * j, 0, size)
             lo = np.clip(live0[:, 1::2, None] + sign * j, 0, size)
             pair = pair + node_mw[up[..., :, None], lo[..., None, :]]
-        merged = np.full(pair.shape[:2] + (2 * size + 1,), np.inf)
+        cost = np.full(pair.shape[:2] + (2 * size + 1,), np.inf)
         for a in range(size + 1):
-            np.minimum(merged[..., a:a + size + 1], pair[..., a, :],
-                       out=merged[..., a:a + size + 1])
-        levels.append((merged, live0[:, 0::2] + live0[:, 1::2]))
-        size *= 2
+            np.minimum(cost[..., a:a + size + 1], pair[..., a, :],
+                       out=cost[..., a:a + size + 1])
+        costs.append(cost)
 
-    root = levels[-1][0][:, 0, :n_select + 1]
+    root = costs[-1][:, 0, :n_select + 1]
     # suffix[m][j]: lowest power of modules m.. with j columns switched.
     suffix = [np.full(n_select + 1, np.inf) for _ in range(n_mod + 1)]
     suffix[n_mod][0] = 0.0
@@ -402,12 +398,12 @@ def _tree_dp(free, live, unit_mw, node_mw, n_select: int, turn_on: bool):
         for a in range(root.shape[1]):
             np.minimum(suffix[m][a:], root[m, a] + suffix[m + 1][:n_select + 1 - a],
                        out=suffix[m][a:])
-    n_evaluated = int(sum(np.isfinite(c).sum() for c, _ in levels[1:])
+    n_evaluated = int(sum(np.isfinite(c).sum() for c in costs[1:])
                       + sum(np.isfinite(g).sum() for g in suffix[:n_mod]))
 
     # Backtrack on Python floats, which add exactly as the arrays did.
-    cost_py = [c.tolist() for c, _ in levels]
-    live_py = [lv.tolist() for _, lv in levels]
+    cost_py = [c.tolist() for c in costs]
+    live_py = [lv.tolist() for lv in counts]
     node_py = None if node_mw is None else node_mw.tolist()
     tol = _TIE_RTOL * float(suffix[0][n_select])
     memo: dict = {}
@@ -442,7 +438,7 @@ def _tree_dp(free, live, unit_mw, node_mw, n_select: int, turn_on: bool):
         return memo[key]
 
     chosen, j = [], n_select
-    top = len(levels) - 1
+    top = len(costs) - 1
     for m in range(n_mod):
         target = float(suffix[m][j]) + tol
         cands = [(pick(m, top, 0, a), a) for a in range(min(j, n) + 1)
@@ -453,10 +449,18 @@ def _tree_dp(free, live, unit_mw, node_mw, n_select: int, turn_on: bool):
     return chosen, n_evaluated
 
 
-def _column_target(s: float, mask_shape6, row_ones: int) -> int:
-    p, q, r, c, k1, k2 = mask_shape6
-    total = p * q * r * c * k1 * k2
-    return round_half_up(s * total / row_ones)
+def interleaved_rows(s: float, arch: ArchConfig) -> np.ndarray:
+    """The (r, k1) row mask of a layer at target density ``s``: density
+    max(s, 0.5), zeros interleaved (:func:`interleaved_ones`)."""
+    n_rows = arch.r * arch.k1
+    return interleaved_ones(n_rows, round_half_up(max(s, 0.5) * n_rows)
+                            ).reshape(arch.r, arch.k1)
+
+
+def column_quota(s: float, n_weights: int, row) -> int:
+    """Live columns that put ``n_weights`` partitioned weights at density
+    ``s`` under the row mask ``row``: the remaining density s / s_row."""
+    return round_half_up(s * n_weights / int(np.sum(row)))
 
 
 def init_masks(s: float, c_out: int, fan_in: int, arch: ArchConfig,
@@ -464,17 +468,14 @@ def init_masks(s: float, c_out: int, fan_in: int, arch: ArchConfig,
                fit: GammaFit = GammaFit()) -> SparsityMask:
     """Initial masks for one layer at target density ``s``.
 
-    Rows: density max(s, 0.5), interleaved zeros.  Columns: the remaining
-    density s / s_row, the kept set being the one of lowest modeled power
+    Rows: :func:`interleaved_rows`.  Columns: :func:`column_quota` of
+    them, the kept set being the one of lowest modeled power
     (:func:`select_columns_min_power`).  Padding columns introduced by the
     chunk grid start pruned and stay pruned.
     """
     if not 0.0 < s <= 1.0:
         raise DeviceModelError(f"target density must be in (0, 1], got {s}")
-    n_rows = arch.r * arch.k1
-    s_row = max(s, 0.5)
-    row = interleaved_ones(n_rows, round_half_up(s_row * n_rows))
-    row = row.reshape(arch.r, arch.k1)
+    row = interleaved_rows(s, arch)
 
     p, q = partition_dims(c_out, fan_in, arch)
     pad = padded_column_mask(fan_in, q, arch)
@@ -482,8 +483,7 @@ def init_masks(s: float, c_out: int, fan_in: int, arch: ArchConfig,
     usable = np.flatnonzero(col.reshape(-1))
 
     w6 = partition(weights2d, arch)
-    row_ones = int(row.sum())
-    n_keep = _column_target(s, (p, q, arch.r, arch.c, arch.k1, arch.k2), row_ones)
+    n_keep = column_quota(s, w6.size, row)
     if n_keep < len(usable):
         model = _objective(row, w6, arch, device, layout, fit)
         empty = np.zeros_like(col)

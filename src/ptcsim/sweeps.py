@@ -25,7 +25,8 @@ from .core import (ExecutionMode, derive_rng, ideal_mvm, nmae,
                    simulate_layer_readouts, simulate_mvm, simulate_mvm_batch)
 from .devices import DeviceParams, GammaFit
 from .layout import LayoutParams
-from .sparsity import combinations_capped, interleaved_ones, partition, round_half_up
+from .sparsity import (column_quota, combinations_capped, interleaved_ones,
+                       interleaved_rows, partition, round_half_up)
 
 REPORT_SCHEMA = "ptcsim-report-1"
 SWEEP_SCHEMA = "ptcsim-sweep-1"
@@ -194,7 +195,7 @@ def run_progressive(cfg: Config, seed: int) -> dict:
     fit = GammaFit()
     dev_cfg, lay_cfg, arch_cfg = cfg.device, cfg.layout, cfg.arch
 
-    foundry_l_s = dev_cfg.foundry_mzi_width_um - dev_cfg.ps_width_um
+    foundry_l_s = dev_cfg.foundry_mzi_width_um - lay_cfg.ps_width_um
     device = dataclasses.replace(dev_cfg, p_pi_mw=FOUNDRY_P_PI_MW,
                                  node_length_um=dev_cfg.foundry_mzi_length_um)
     layout = dataclasses.replace(
@@ -264,13 +265,10 @@ def run_progressive(cfg: Config, seed: int) -> dict:
     w2d = derive_rng(seed, 7).uniform(-1.0, 1.0, size=(arch.chunk_rows,
                                                        9 * arch.chunk_cols))
     w6 = partition(w2d, arch)
-    rk1 = arch.r * arch.k1
-    row = interleaved_ones(rk1, round_half_up(max(PROGRESSIVE_DENSITY, 0.5)
-                                              * rk1)).reshape(arch.r, arch.k1)
+    row = interleaved_rows(PROGRESSIVE_DENSITY, arch)
     row6 = row[None, None, :, None, :, None]
-    row_ones = int(row.sum())
-    n_keep = round_half_up(PROGRESSIVE_DENSITY * w6.size / row_ones)
-    col6 = _magnitude_columns(w6, row6, n_keep)
+    col6 = _magnitude_columns(w6, row6, column_quota(PROGRESSIVE_DENSITY,
+                                                     w6.size, row))
     output_gating = True
     emit("structured-sparsity")
 

@@ -139,9 +139,13 @@ def test_bad_config_exits_one(tmp_path, capsys):
     unknown = tmp_path / "unknown.json"
     unknown.write_text('{"device": {"nope": 1}}')
     assert main(["--config", str(unknown), "validate"]) == 1
+    # The heater width is a layout field only.
+    heater = tmp_path / "heater.json"
+    heater.write_text('{"device": {"ps_width_um": 7.0}}')
+    assert main(["--config", str(heater), "validate"]) == 1
     assert main(["--config", str(tmp_path / "missing.json"), "validate"]) == 1
     err = capsys.readouterr().err
-    assert err.count("config error") == 3
+    assert err.count("config error") == 4
     # DST settings: an unknown key, a value the schedule rejects, and
     # train's flag overrides, which obey the same rules as the file.
     dst_seed, alpha0 = tmp_path / "dst_seed.json", tmp_path / "alpha0.json"

@@ -91,12 +91,13 @@ def test_bad_json(tmp_path):
         load_config(_write(tmp_path, "[1, 2]"))
 
 
-def test_phase_shifter_width_stays_glued(tmp_path):
-    with pytest.raises(ConfigError, match="disagrees"):
-        load_config(_write(tmp_path, {"layout": {"ps_width_um": 7.0}}))
-    cfg = load_config(_write(tmp_path, {"layout": {"ps_width_um": 7.0},
-                                        "device": {"ps_width_um": 7.0}}))
+def test_phase_shifter_width_lives_in_layout(tmp_path):
+    cfg = load_config(_write(tmp_path, {"layout": {"ps_width_um": 7.0}}))
+    assert cfg.layout.ps_width_um == 7.0
     assert cfg.layout.l_h_um == 9.0 + 7.0 + 5.0
+    assert not hasattr(cfg.device, "ps_width_um")
+    with pytest.raises(ConfigError, match="unknown key 'device.ps_width_um'"):
+        load_config(_write(tmp_path, {"device": {"ps_width_um": 7.0}}))
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +150,14 @@ def test_apply_overrides_substitutes_and_revalidates():
         apply_overrides(cfg, {"layout.bogus": 1.0})
 
 
-def test_apply_overrides_mirrors_ps_width():
+def test_apply_overrides_sets_ps_width_in_layout_only():
     cfg = load_config(None)
-    via_device = apply_overrides(cfg, {"device.ps_width_um": 8.0})
-    assert via_device.layout.ps_width_um == 8.0
-    assert via_device.layout.l_h_um == 9.0 + 8.0 + 5.0
-    via_layout = apply_overrides(cfg, {"layout.ps_width_um": 8.0})
-    assert via_layout.device.ps_width_um == 8.0
+    out = apply_overrides(cfg, {"layout.ps_width_um": 8.0})
+    assert out.layout.ps_width_um == 8.0
+    assert out.layout.l_h_um == 9.0 + 8.0 + 5.0
+    assert out.device == cfg.device
+    with pytest.raises(ConfigError, match="no field"):
+        apply_overrides(cfg, {"device.ps_width_um": 8.0})
 
 
 def test_resolve_seed_precedence():

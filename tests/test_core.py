@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from ptcsim.arch import ArchConfig, ColumnPowerModel
 from ptcsim.core import (
     ExecutionMode,
     derive_rng,
@@ -126,6 +127,69 @@ def test_rerouter_node_table_tree_sum_matches_configure():
 def test_rerouter_empty_mask_rejected():
     with pytest.raises(DeviceModelError):
         rerouter_configure([])
+
+
+def test_rerouter_rejects_a_mask_that_is_not_1d():
+    for mask in (np.ones((2, 4)), [[1, 0], [1, 1]], 1):
+        with pytest.raises(DeviceModelError, match="1-D"):
+            rerouter_configure(mask)
+
+
+def test_rerouter_one_port_tree_has_no_nodes():
+    # k2 = 1: the tree is one leaf and no splitter node.
+    node_mw = rerouter_node_mw(1)
+    got = rerouter_tree_mw(np.ones((3, 2, 1), dtype=bool), node_mw)
+    assert got.shape == (3, 2) and got.dtype == np.float64
+    assert not got.any()
+    state = rerouter_configure([1])
+    assert state.node_ratios == () and state.node_phases_rad == ()
+    assert state.leaf_intensities == (1.0,)
+    assert state.total_power_mw == 0.0
+    arch = ArchConfig(R=2, C=2, r=2, c=2, k1=4, k2=1)
+    model = ColumnPowerModel(np.ones((2, 4), dtype=bool), None, arch,
+                             DeviceParams(), LAY,
+                             mode=ExecutionMode.INPUT_GATING_LR)
+    col = np.array([True, False]).reshape(1, 1, 2, 1)
+    pb = model.breakdown(col)
+    assert pb.rerouter_mw == 0.0 and isinstance(pb.rerouter_mw, float)
+    assert model.power(col) == pb.total_mw > 0.0
+
+
+def _heap_rerouter(mask):
+    """Reference rerouter configuration: per-node Python loops over the
+    heap (node i's children are 2i+1 and 2i+2).  Returns the node ratios,
+    node phases, leaf intensities and power summed in heap order."""
+    mask = [1 if m else 0 for m in mask]
+    n = 1 << (len(mask) - 1).bit_length()
+    counts = [0] * (n - 1) + mask + [0] * (n - len(mask))
+    for i in range(n - 2, -1, -1):
+        counts[i] = counts[2 * i + 1] + counts[2 * i + 2]
+    ratios = [(counts[2 * i + 1], counts[2 * i + 2]) for i in range(n - 1)]
+    phases = [2.0 * math.acos(math.sqrt(up / (up + lo))) - math.pi / 2
+              if up + lo else 0.0 for up, lo in ratios]
+    intens = [0.0] * (2 * n - 1)
+    intens[0] = 1.0
+    for i, (up, lo) in enumerate(ratios):
+        frac_up = 0.5 if up + lo == 0 else up / (up + lo)
+        intens[2 * i + 1] = intens[i] * frac_up
+        intens[2 * i + 2] = intens[i] * (1.0 - frac_up)
+    power = float(np.sum(mzi_power(np.abs(np.array(phases)), 9.0)))
+    return ratios, phases, intens[n - 1:n - 1 + len(mask)], power
+
+
+def test_rerouter_matches_the_heap_loop_reference():
+    rng = derive_rng(22)
+    masks = [m for k2 in range(1, 9) for m in itertools.product((0, 1), repeat=k2)]
+    masks += [tuple(rng.integers(0, 2, size=k2)) for k2 in rng.integers(9, 18, size=100)]
+    for mask in masks:
+        state = rerouter_configure(mask)
+        ratios, phases, leaves, power = _heap_rerouter(mask)
+        assert state.node_ratios == tuple(ratios), mask
+        # Bit for bit, signs of zero included.
+        for got, want in ((state.node_phases_rad, phases),
+                          (state.leaf_intensities, leaves)):
+            assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes(), mask
+        assert state.total_power_mw == pytest.approx(power, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
