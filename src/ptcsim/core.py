@@ -371,13 +371,13 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
                      fit, coupling_free)
             ys = out[il, ig]
             for mode in modes:
-                # A gated modulator scales dead columns by its leakage tau;
-                # rerouted light reads them as 0 (boost k2/k2' times
-                # readout gain k2'/k2 is 1).
-                if mode is ExecutionMode.INPUT_GATING:
-                    w_real *= col_gain
-                elif mode.redistributes:
+                # Rerouted light reads dead columns as 0 (boost k2/k2'
+                # times readout gain k2'/k2 is 1); a gated modulator scales
+                # them by its leakage tau.
+                if mode.redistributes:
                     np.copyto(w_real, 0.0, where=dead_cols)
+                elif mode.gates_inputs:
+                    w_real *= col_gain
                 first, *rest = [i for i, (each, _) in enumerate(readouts) if each is mode]
                 np.matmul(w_real.reshape(cores + (p * r * k1, q * c * k2)), x2d,
                           out=ys[first])

@@ -130,6 +130,8 @@ class SparsityMask:
         pad = np.asarray(self.padded_col, dtype=bool)
         if row.ndim != 2:
             raise DeviceModelError("row mask must be (r, k1)")
+        if not row.any():
+            raise DeviceModelError("row mask must keep at least one row")
         if col.ndim != 4:
             raise DeviceModelError("column mask must be (p, q, c, k2)")
         if pad.shape != col.shape[1:]:
@@ -150,6 +152,11 @@ class SparsityMask:
         """Broadcast row x column product, shaped (p, q, r, c, k1, k2)."""
         return (self.row[None, None, :, None, :, None]
                 & self.col[:, :, None, :, None, :])
+
+    @property
+    def usable(self) -> np.ndarray:
+        """(p, q, c, k2) flags of the columns that are not zero padding."""
+        return ~np.broadcast_to(self.padded_col[None], self.col.shape)
 
     def density(self) -> float:
         return float(self.effective6().mean())
@@ -288,11 +295,28 @@ def mask_power(mask: SparsityMask, weights6, arch: ArchConfig,
     return _objective(mask.row, weights6, arch, device, layout, fit).power(mask.col)
 
 
+def column_norms(a6, row) -> np.ndarray:
+    """Each (p, q, c, k2) column's L2 norm of ``a6`` (weights or gradients,
+    (p, q, r, c, k1, k2)) over the live rows of the (r, k1) mask ``row``,
+    flat in ``col.reshape(-1)`` order."""
+    row6 = np.asarray(row, dtype=bool)[None, None, :, None, :, None]
+    return np.sqrt((np.asarray(a6, dtype=float) ** 2 * row6).sum(axis=(2, 4))
+                   ).reshape(-1)
+
+
+def ranked(ids, key, n: int) -> np.ndarray:
+    """The first ``n`` of ``ids`` by ascending ``key`` (one value per id),
+    ties going to the lower id."""
+    ids = np.asarray(ids)
+    return ids[np.lexsort((ids, key))][:n]
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     chosen: tuple[int, ...]     # flat indices into col.reshape(-1), ascending
     power_mw: float             # the model's power of the chosen mask
     n_evaluated: int            # DP cells filled (see select_columns_min_power)
+    col: np.ndarray             # the column mask with ``chosen`` switched
 
 
 # Tie band, relative to the optimal power of the modules holding pool
@@ -314,8 +338,8 @@ def select_columns_min_power(model: ColumnPowerModel, col_mask, pool,
     backtrack recovers the columns, taking the lowest column indices on
     ties (see the module docstring).  ``n_evaluated`` counts the DP cells
     filled: one per (tree node, feasible j) in those modules, and one per
-    (module suffix, feasible j <= n_select) across them.  ``power_mw`` is
-    one ``model.power`` call on the chosen mask.
+    (module suffix, feasible j <= n_select) across them.  ``col`` is the
+    switched mask and ``power_mw`` one ``model.power`` call on it.
 
     Rejected: a negative ``n_select`` or one larger than the pool,
     duplicate or out-of-range pool ids, and pool columns already in the
@@ -347,10 +371,9 @@ def select_columns_min_power(model: ColumnPowerModel, col_mask, pool,
         model.col_unit_mw.reshape(-1, k2)[mods], model.node_mw,
         n_select, turn_on)
     flat_ids = tuple(int(mods[m]) * k2 + leaf for m, leaf in chosen)
-    trial = flat.copy()
-    trial[list(flat_ids)] = turn_on
-    return SelectionResult(flat_ids, model.power(trial.reshape(col.shape)),
-                           n_evaluated)
+    trial = col.copy()
+    trial.reshape(-1)[list(flat_ids)] = turn_on
+    return SelectionResult(flat_ids, model.power(trial), n_evaluated, trial)
 
 
 def _tree_dp(free, live, unit_mw, node_mw, n_select: int, turn_on: bool):
@@ -457,10 +480,10 @@ def interleaved_rows(s: float, arch: ArchConfig) -> np.ndarray:
                             ).reshape(arch.r, arch.k1)
 
 
-def column_quota(s: float, n_weights: int, row) -> int:
-    """Live columns that put ``n_weights`` partitioned weights at density
-    ``s`` under the row mask ``row``: the remaining density s / s_row."""
-    return round_half_up(s * n_weights / int(np.sum(row)))
+def column_quota(n_weights: float, row) -> int:
+    """Columns that hold ``n_weights`` partitioned weights under the row
+    mask ``row``: a column holds one weight per live row."""
+    return round_half_up(n_weights / int(np.sum(row)))
 
 
 def init_masks(s: float, c_out: int, fan_in: int, arch: ArchConfig,
@@ -468,31 +491,28 @@ def init_masks(s: float, c_out: int, fan_in: int, arch: ArchConfig,
                fit: GammaFit = GammaFit()) -> SparsityMask:
     """Initial masks for one layer at target density ``s``.
 
-    Rows: :func:`interleaved_rows`.  Columns: :func:`column_quota` of
-    them, the kept set being the one of lowest modeled power
-    (:func:`select_columns_min_power`).  Padding columns introduced by the
-    chunk grid start pruned and stay pruned.
+    Rows: :func:`interleaved_rows`.  Columns: the :func:`column_quota` of
+    s times the partitioned weights, the kept set being the one of lowest
+    modeled power (:func:`select_columns_min_power`).  Padding columns
+    introduced by the chunk grid start pruned and stay pruned.
     """
     if not 0.0 < s <= 1.0:
         raise DeviceModelError(f"target density must be in (0, 1], got {s}")
+    w2d = np.asarray(weights2d)
+    if w2d.shape != (c_out, fan_in):
+        raise DeviceModelError(f"weights2d has shape {w2d.shape}, expected "
+                               f"(c_out, fan_in) = ({c_out}, {fan_in})")
     row = interleaved_rows(s, arch)
-
-    p, q = partition_dims(c_out, fan_in, arch)
-    pad = padded_column_mask(fan_in, q, arch)
-    col = np.ones((p, q, arch.c, arch.k2), dtype=bool) & ~pad[None]
-    usable = np.flatnonzero(col.reshape(-1))
-
-    w6 = partition(weights2d, arch)
-    n_keep = column_quota(s, w6.size, row)
-    if n_keep < len(usable):
-        model = _objective(row, w6, arch, device, layout, fit)
-        empty = np.zeros_like(col)
-        sel = select_columns_min_power(model, empty, usable, n_keep,
-                                       turn_on=True)
-        col = empty.reshape(-1)
-        col[list(sel.chosen)] = True
-        col = col.reshape(p, q, arch.c, arch.k2)
-    return SparsityMask(row, col, pad)
+    w6 = partition(w2d, arch)
+    empty = SparsityMask(row, np.zeros(w6.shape[:2] + (arch.c, arch.k2), bool),
+                         padded_column_mask(fan_in, w6.shape[1], arch))
+    usable = np.flatnonzero(empty.usable)
+    n_keep = column_quota(s * w6.size, row)
+    if n_keep >= len(usable):
+        return empty.with_col(empty.usable)
+    model = _objective(row, w6, arch, device, layout, fit)
+    return empty.with_col(select_columns_min_power(
+        model, empty.col, usable, n_keep, turn_on=True).col)
 
 
 @dataclass(frozen=True)
@@ -503,36 +523,39 @@ class MaskUpdateInfo:
     n_evaluated: int         # DP cells filled (0 for a no-op)
 
 
+def _switch(mask: SparsityMask, model: ColumnPowerModel, cands, key,
+            n_c: int, delta_m: int, turn_on: bool, alpha: float
+            ) -> tuple[SparsityMask, MaskUpdateInfo]:
+    """Switch the ``n_c`` columns of lowest modeled power among the
+    ``n_c + delta_m`` candidates ``cands`` (flat ids) first by ``key`` (one
+    value per flat column) to ``turn_on``; ``n_c`` is clipped to the
+    candidates, and a quota of zero or less changes nothing."""
+    n_c = min(n_c, len(cands))
+    if n_c <= 0:
+        return mask, MaskUpdateInfo(alpha, 0, model.power(mask.col), 0)
+    pool = ranked(cands, key[cands], n_c + delta_m)
+    sel = select_columns_min_power(model, mask.col, pool, n_c, turn_on)
+    return mask.with_col(sel.col), MaskUpdateInfo(alpha, n_c, sel.power_mw,
+                                                  sel.n_evaluated)
+
+
 def prune_step(mask: SparsityMask, weights6, schedule: DstSchedule, t: int,
                arch: ArchConfig, device: DeviceParams, layout: LayoutParams,
                fit: GammaFit = GammaFit()) -> tuple[SparsityMask, MaskUpdateInfo]:
     """Cosine-scheduled structured pruning of one layer's column mask.
 
-    The death rate sets how many weights leave; divided by the per-column
-    live-row count that becomes a column quota n_c.  The n_c + delta_m
-    smallest-norm live columns form the candidate pool, and the pool
-    combination with the lowest modeled power is pruned.  Asking for more
-    columns than are live prunes everything live.
+    The death rate sets how many weights leave, :func:`column_quota` how
+    many columns n_c that is.  The n_c + delta_m live columns of smallest
+    weight norm over live rows form the pool, and the pool combination of
+    lowest modeled power is pruned.  Asking for more columns than are
+    live prunes everything live.
     """
-    w6 = np.asarray(weights6, dtype=float)
     alpha = schedule.death_rate(t)
-    row_ones = int(mask.row.sum())
-    unpruned = int(mask.effective6().sum())
-    n_c = round_half_up(round_half_up(alpha * unpruned) / row_ones)
-    model = _objective(mask.row, w6, arch, device, layout, fit)
-    if n_c == 0:
-        return mask, MaskUpdateInfo(alpha, 0, model.power(mask.col), 0)
-
-    alive = np.flatnonzero(mask.col.reshape(-1))
-    n_c = min(n_c, len(alive))
-    norms = np.sqrt((w6 ** 2).sum(axis=(2, 4))).reshape(-1)[alive]
-    pool_n = min(n_c + schedule.delta_m, len(alive))
-    pool = alive[np.lexsort((alive, norms))][:pool_n]
-    sel = select_columns_min_power(model, mask.col, pool, n_c, turn_on=False)
-    new_col = mask.col.reshape(-1).copy()
-    new_col[list(sel.chosen)] = False
-    out = mask.with_col(new_col.reshape(mask.col.shape))
-    return out, MaskUpdateInfo(alpha, n_c, sel.power_mw, sel.n_evaluated)
+    n_c = column_quota(round_half_up(alpha * int(mask.effective6().sum())),
+                       mask.row)
+    return _switch(mask, _objective(mask.row, weights6, arch, device, layout, fit),
+                   np.flatnonzero(mask.col), column_norms(weights6, mask.row),
+                   n_c, schedule.delta_m, turn_on=False, alpha=alpha)
 
 
 def grow_step(mask: SparsityMask, gradients6, weights6, s: float,
@@ -541,33 +564,18 @@ def grow_step(mask: SparsityMask, gradients6, weights6, s: float,
               fit: GammaFit = GammaFit()) -> tuple[SparsityMask, MaskUpdateInfo]:
     """Regrow pruned columns back up to the target density ``s``.
 
-    The quota is (target weight count - current) / live rows per column.
-    Candidates are the pruned, non-padding columns with the largest
-    gradient norm over live rows; the pool combination with the lowest
-    modeled power is revived.  Regrown weights re-enter at zero, so growth
-    choices differ in power only through input channels, detectors and
-    rerouter splits.  With no pruned columns available this is a no-op.
+    The quota is the :func:`column_quota` of (target weight count -
+    current).  Candidates are the pruned, non-padding columns with the
+    largest gradient norm over live rows; the pool combination with the
+    lowest modeled power is revived.  Regrown weights re-enter at zero, so
+    growth choices differ in power only through input channels, detectors
+    and rerouter splits.  With no pruned columns available this is a no-op.
     """
-    w6 = np.asarray(weights6, dtype=float)
-    g6 = np.asarray(gradients6, dtype=float)
-    if g6.shape != w6.shape:
+    if np.shape(gradients6) != np.shape(weights6):
         raise DeviceModelError("gradient tensor must match the weight tensor")
-    row_ones = int(mask.row.sum())
-    current = int(mask.effective6().sum())
-    n_c = round_half_up((s * mask.effective6().size - current) / row_ones)
-    model = _objective(mask.row, w6, arch, device, layout, fit)
-    dead = np.flatnonzero(~mask.col.reshape(-1) & ~np.broadcast_to(
-        mask.padded_col[None], mask.col.shape).reshape(-1))
-    if n_c <= 0 or len(dead) == 0:
-        return mask, MaskUpdateInfo(0.0, 0, model.power(mask.col), 0)
-
-    n_c = min(n_c, len(dead))
-    row6 = mask.row[None, None, :, None, :, None]
-    gnorm = np.sqrt((g6 ** 2 * row6).sum(axis=(2, 4))).reshape(-1)[dead]
-    pool_n = min(n_c + schedule.delta_m, len(dead))
-    pool = dead[np.lexsort((dead, -gnorm))][:pool_n]
-    sel = select_columns_min_power(model, mask.col, pool, n_c, turn_on=True)
-    new_col = mask.col.reshape(-1).copy()
-    new_col[list(sel.chosen)] = True
-    out = mask.with_col(new_col.reshape(mask.col.shape))
-    return out, MaskUpdateInfo(0.0, n_c, sel.power_mw, sel.n_evaluated)
+    eff = mask.effective6()
+    n_c = column_quota(s * eff.size - int(eff.sum()), mask.row)
+    return _switch(mask, _objective(mask.row, weights6, arch, device, layout, fit),
+                   np.flatnonzero(mask.usable & ~mask.col),
+                   -column_norms(gradients6, mask.row),
+                   n_c, schedule.delta_m, turn_on=True, alpha=0.0)

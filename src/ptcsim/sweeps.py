@@ -25,8 +25,9 @@ from .core import (ExecutionMode, derive_rng, ideal_mvm, nmae,
                    simulate_layer_readouts, simulate_mvm, simulate_mvm_batch)
 from .devices import DeviceParams, GammaFit
 from .layout import LayoutParams
-from .sparsity import (column_quota, combinations_capped, interleaved_ones,
-                       interleaved_rows, partition, round_half_up)
+from .sparsity import (SparsityMask, column_norms, column_quota,
+                       combinations_capped, interleaved_ones, interleaved_rows,
+                       padded_column_mask, partition, ranked, round_half_up)
 
 REPORT_SCHEMA = "ptcsim-report-1"
 SWEEP_SCHEMA = "ptcsim-sweep-1"
@@ -124,17 +125,6 @@ def run_sweep(cfg: Config, threads: int = 1) -> dict:
 _SCORE_BLOCK = 1024
 
 
-def _magnitude_columns(w6: np.ndarray, row6: np.ndarray, n_keep: int) -> np.ndarray:
-    """Keep the ``n_keep`` largest-norm columns (norms over unpruned rows)."""
-    p, q = w6.shape[:2]
-    c, k2 = w6.shape[3], w6.shape[5]
-    norms = np.sqrt((w6 ** 2 * row6).sum(axis=(2, 4))).reshape(-1)
-    order = np.argsort(-norms, kind="stable")
-    col = np.zeros(norms.size, dtype=bool)
-    col[order[:n_keep]] = True
-    return col.reshape(p, q, c, k2)
-
-
 def _power_aware_columns(w6: np.ndarray, row: np.ndarray, col6: np.ndarray,
                          arch: ArchConfig, device: DeviceParams,
                          layout: LayoutParams, fit: GammaFit, margin: int = 2,
@@ -142,7 +132,8 @@ def _power_aware_columns(w6: np.ndarray, row: np.ndarray, col6: np.ndarray,
     """Re-pick the kept columns to lower modeled power, never raising it.
 
     Candidate pool = the incumbent choice widened by ``margin`` columns of
-    the magnitude ranking; the incumbent itself is always evaluated, so
+    the magnitude ranking (:func:`~ptcsim.sparsity.column_norms` over live
+    rows, largest first); the incumbent itself is always evaluated, so
     the returned selection cannot draw more power than it.  Under
     prune-only accounting only the weight MZIs depend on the column
     choice, so each candidate combination scores as a sum of the model's
@@ -159,12 +150,8 @@ def _power_aware_columns(w6: np.ndarray, row: np.ndarray, col6: np.ndarray,
     shape = col6.shape
     col_mw = ColumnPowerModel(row, w6, arch, device, layout, fit,
                               ExecutionMode.PRUNE_ONLY).col_unit_mw.reshape(-1)
-    row6 = row[None, None, :, None, :, None]
-    norms = np.sqrt((w6 ** 2 * row6).sum(axis=(2, 4))).reshape(-1)
-
     n_keep = int(col6.sum())
-    order = np.argsort(-norms, kind="stable")
-    pool = order[:min(n_keep + margin, norms.size)]
+    pool = ranked(np.arange(col6.size), -column_norms(w6, row), n_keep + margin)
     pool_mw = col_mw[pool]
     incumbent_flat = np.flatnonzero(col6.reshape(-1))
     pool_index = {int(j): i for i, j in enumerate(pool)}
@@ -179,7 +166,7 @@ def _power_aware_columns(w6: np.ndarray, row: np.ndarray, col6: np.ndarray,
         i = int(np.argmin(p_mw))
         if p_mw[i] < best_power:
             best_combo, best_power = block[i], float(p_mw[i])
-    col = np.zeros(norms.size, dtype=bool)
+    col = np.zeros(col6.size, dtype=bool)
     col[pool[best_combo]] = True
     return col.reshape(shape)
 
@@ -205,7 +192,7 @@ def run_progressive(cfg: Config, seed: int) -> dict:
 
     mode = ExecutionMode.PRUNE_ONLY
     output_gating = False
-    w6 = row = col6 = row6 = None   # dense until the sparsity stage
+    w6 = mask = None   # dense until the sparsity stage
 
     rows: list[dict] = []
 
@@ -217,12 +204,11 @@ def run_progressive(cfg: Config, seed: int) -> dict:
         else:
             # Chunks get equal cycle counts, so the average power is the
             # chunk-mean slice power times the resident chunk slots.
-            model = ColumnPowerModel(row, w6, arch, device, layout, fit,
+            model = ColumnPowerModel(mask.row, w6, arch, device, layout, fit,
                                      mode, output_gating)
-            pb = model.breakdown(col6).scaled(
+            pb = model.breakdown(mask.col).scaled(
                 arch.n_chunk_slots / (w6.shape[0] * w6.shape[1]))
-            density = float((row.sum() * col6.sum())
-                            / (row.size * col6[0, 0].size * col6.shape[0] * col6.shape[1]))
+            density = mask.density()
             mode_label = mode.value
         ab = area(arch, device, layout)
         p_avg_w = pb.total_mw / 1e3
@@ -266,13 +252,18 @@ def run_progressive(cfg: Config, seed: int) -> dict:
                                                        9 * arch.chunk_cols))
     w6 = partition(w2d, arch)
     row = interleaved_rows(PROGRESSIVE_DENSITY, arch)
-    row6 = row[None, None, :, None, :, None]
-    col6 = _magnitude_columns(w6, row6, column_quota(PROGRESSIVE_DENSITY,
-                                                     w6.size, row))
+    mask = SparsityMask(row, np.zeros(w6.shape[:2] + (arch.c, arch.k2), bool),
+                        padded_column_mask(w2d.shape[1], w6.shape[1], arch))
+    usable = np.flatnonzero(mask.usable)
+    col = np.zeros(mask.col.size, dtype=bool)
+    col[ranked(usable, -column_norms(w6, row)[usable],
+               column_quota(PROGRESSIVE_DENSITY * w6.size, row))] = True
+    mask = mask.with_col(col.reshape(mask.col.shape))
     output_gating = True
     emit("structured-sparsity")
 
-    col6 = _power_aware_columns(w6, row, col6, arch, device, layout, fit)
+    mask = mask.with_col(_power_aware_columns(w6, row, mask.col, arch, device,
+                                              layout, fit))
     emit("power-aware-masks")
 
     mode = ExecutionMode.INPUT_GATING_LR

@@ -179,8 +179,7 @@ def train(model: Sequential, sparse_layers: list[int], data: tuple,
         masks[idx] = mask
         dense_m[idx] = mask.to_dense(*layer.w.shape)
         layer.w *= dense_m[idx]
-        usable = mask.col.size - mask.col.shape[0] * int(mask.padded_col.sum())
-        explore[idx] = int(mask.col.sum()) < usable
+        explore[idx] = int(mask.col.sum()) < int(mask.usable.sum())
 
     opt = Adam(model.params(), lr=lr)
     history: list[dict] = []

@@ -15,16 +15,20 @@ from ptcsim.sparsity import (
     ColumnPowerModel,
     DstSchedule,
     SparsityMask,
+    column_norms,
+    column_quota,
     combinations_capped,
     departition,
     grow_step,
     init_masks,
     interleaved_ones,
+    interleaved_rows,
     mask_power,
     padded_column_mask,
     partition,
     partition_dims,
     prune_step,
+    ranked,
     round_half_up,
     select_columns_min_power,
 )
@@ -142,6 +146,48 @@ def test_sparsity_mask_validation_and_immutability():
     pad[1, 0, 1] = True  # overlaps a live column
     with pytest.raises(DeviceModelError, match="padded columns"):
         SparsityMask(mask.row, np.ones((1, 2, 1, 2), dtype=bool), pad)
+    with pytest.raises(DeviceModelError, match="at least one row"):
+        SparsityMask(np.zeros_like(mask.row), mask.col, mask.padded_col)
+
+
+def test_usable_marks_every_non_padding_column():
+    pad = np.zeros((2, 1, 2), dtype=bool)
+    pad[1, 0, 1] = True
+    col = np.zeros((3, 2, 1, 2), dtype=bool)
+    mask = SparsityMask(np.ones((1, 2), dtype=bool), col, pad)
+    assert mask.usable.shape == col.shape
+    assert np.array_equal(mask.usable, ~np.broadcast_to(pad, col.shape))
+    assert int(mask.usable.sum()) == 3 * 3
+
+
+def test_column_norms_read_only_live_rows():
+    rng = np.random.default_rng(3)
+    a6 = rng.normal(size=(2, 3, 2, 2, 3, 4))
+    row = np.array([[True, False, True], [False, True, False]])
+    got = column_norms(a6, row)
+    assert got.shape == (2 * 3 * 2 * 4,)
+    want = np.array([math.sqrt(sum(a6[p, q, r, c, k1, k2] ** 2
+                                   for r in range(2) for k1 in range(3)
+                                   if row[r, k1]))
+                     for p, q, c, k2 in itertools.product(
+                         range(2), range(3), range(2), range(4))])
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_ranked_orders_by_key_then_lower_id():
+    ids = np.array([9, 4, 7, 2, 5])
+    key = np.array([1.0, 0.5, 1.0, 2.0, 0.5])
+    assert ranked(ids, key, 3).tolist() == [4, 5, 7]
+    assert ranked(ids, key, 10).tolist() == [4, 5, 7, 9, 2]
+    assert ranked(ids, -key, 2).tolist() == [2, 7]
+    assert ranked(ids[:0], key[:0], 2).size == 0
+
+
+def test_column_quota_counts_one_weight_per_live_row():
+    row = np.array([[True, False, True, True]])
+    assert column_quota(12, row) == 4
+    assert column_quota(4.5, row) == 2       # 1.5 rounds half up
+    assert column_quota(-3, row) == -1
 
 
 def test_with_col_replaces_only_the_column_mask():
@@ -472,6 +518,11 @@ def test_select_columns_dp_matches_brute_force(case, mode, output_gating):
         # the DP's tie band, so this band holds just the exact minimisers.
         tied = [ids for pw, ids in scored if pw <= best * (1 + 1e-13)]
         assert sel.chosen == tied[0]
+        # the result carries its mask: col with exactly the chosen switched
+        switched = col.reshape(-1).copy()
+        switched[list(sel.chosen)] = turn_on
+        assert np.array_equal(sel.col, switched.reshape(col.shape))
+        assert sel.power_mw == model.power(sel.col)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +576,14 @@ def test_init_masks_never_unprunes_padding():
         init_masks(0.0, 2, 4, arch, w[:, :4], DEV, LAY)
 
 
+@pytest.mark.parametrize("s, fan_in", [(1.0, 8), (0.3, 8), (0.3, 12), (0.3, 4)])
+def test_init_masks_rejects_weights_of_another_shape(s, fan_in):
+    arch = ArchConfig(R=2, C=2, k1=4, k2=4, r=1, c=1)
+    w = np.random.default_rng(4).normal(size=(4, 6))
+    with pytest.raises(DeviceModelError, match=rf"\(4, 6\).*\(4, {fan_in}\)"):
+        init_masks(s, 4, fan_in, arch, w, DEV, LAY)
+
+
 # ---------------------------------------------------------------------------
 # prune / grow
 # ---------------------------------------------------------------------------
@@ -545,13 +604,39 @@ def test_prune_step_quota_and_pool():
     assert info.alpha == pytest.approx(0.5)
     assert info.n_changed == 4
     assert int(mask.col.sum()) - int(out.col.sum()) == 4
-    # every removed column came from the six smallest-norm live columns
-    norms = np.sqrt((w6 ** 2).sum(axis=(2, 4))).reshape(-1)
+    # every removed column came from the six live columns of smallest norm
+    # over live rows
+    row6 = mask.row[None, None, :, None, :, None]
+    norms = np.sqrt((w6 ** 2 * row6).sum(axis=(2, 4))).reshape(-1)
     pool = np.argsort(norms, kind="stable")[:6]
     removed = np.flatnonzero(mask.col.reshape(-1) & ~out.col.reshape(-1))
     assert set(removed) <= set(pool)
     assert info.power_mw == pytest.approx(
         mask_power(out, w6, arch, DEV, LAY))
+
+
+def test_prune_step_ignores_weights_on_dead_rows():
+    # Rows 0-2 live, row 3 dead; columns 0-3 are the smallest over live
+    # rows.  Dead-row weights as large as the layer's largest (so its
+    # weight scale holds) on columns 0-3 must not change the pruned set.
+    arch = ArchConfig(R=2, C=2, k1=4, k2=4, r=1, c=1)
+    row = interleaved_rows(0.75, arch)
+    assert row.tolist() == [[True, True, True, False]]
+    mask = SparsityMask(row, np.ones((1, 2, 1, 4), dtype=bool),
+                        np.zeros((2, 1, 4), dtype=bool))
+    quiet = np.zeros((4, 8))
+    quiet[:3, :4], quiet[:3, 4:], quiet[0, 7] = 0.1, 0.3, 1.0
+    loud = quiet.copy()
+    loud[3, :4] = 1.0
+    sched = DstSchedule(alpha0=0.5, t_end=4, delta_m=0)
+    out, info = prune_step(mask, partition(loud, arch), sched, 0, arch, DEV, LAY)
+    ref, ref_info = prune_step(mask, partition(quiet, arch), sched, 0, arch,
+                               DEV, LAY)
+    # 12 of 24 live weights over 3 live rows: 4 columns, and with no pool
+    # margin exactly the 4 of smallest live-row norm
+    assert np.flatnonzero(~out.col).tolist() == [0, 1, 2, 3]
+    assert np.array_equal(out.col, ref.col)
+    assert info == ref_info
 
 
 def test_prune_step_noop_after_schedule_end():

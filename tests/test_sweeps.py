@@ -13,9 +13,8 @@ from ptcsim.config import SweepSpec, load_config
 from ptcsim.core import (ExecutionMode, derive_rng, ideal_mvm, nmae,
                          simulate_layer)
 from ptcsim.devices import DeviceParams, GammaFit
-from ptcsim.sparsity import combinations_capped
+from ptcsim.sparsity import column_norms, combinations_capped, ranked
 from ptcsim.sweeps import (
-    _magnitude_columns,
     _nmae_block,
     _one_sided_z,
     _power_aware_columns,
@@ -175,12 +174,12 @@ def _small_stage_case(seed, n_keep, shuffled=False):
     w6 = rng.uniform(-1.0, 1.0, size=(1, 2, 2, 2, 4, 4))
     row = np.zeros((2, 4), dtype=bool)
     row[:, ::2] = True
-    row6 = row[None, None, :, None, :, None]
-    if not shuffled:
-        return w6, row, _magnitude_columns(w6, row6, n_keep)
-    pool = _magnitude_columns(w6, row6, n_keep + 2).reshape(-1)
-    keep = rng.choice(np.flatnonzero(pool), size=n_keep, replace=False)
-    col = np.zeros(pool.size, dtype=bool)
+    norms = column_norms(w6, row)
+    keep = ranked(np.arange(norms.size), -norms, n_keep)
+    if shuffled:
+        pool = ranked(np.arange(norms.size), -norms, n_keep + 2)
+        keep = rng.choice(np.sort(pool), size=n_keep, replace=False)
+    col = np.zeros(norms.size, dtype=bool)
     col[keep] = True
     return w6, row, col.reshape(1, 2, 2, 4)
 
