@@ -67,7 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default="json",
                         dest="fmt", help="output file format (default: json)")
     parser.add_argument("--threads", type=count, default=1,
-                        help="worker threads for sweep points (default: 1)")
+                        help="worker threads that split each seed block of "
+                             "nmae; outputs do not depend on it. Pair it "
+                             "with one BLAS thread (OPENBLAS_NUM_THREADS=1) "
+                             "so the two do not oversubscribe the cores "
+                             "(default: 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("validate",
@@ -158,7 +162,7 @@ def _cmd_report(args, cfg: Config, seed: int) -> int:
 
 
 def _cmd_sweep(args, cfg: Config, seed: int) -> int:
-    res = run_sweep(cfg, threads=args.threads)
+    res = run_sweep(cfg)
     out = _out_dir(args)
     if args.fmt == "csv":
         write_csv(out / "sweep.csv", res["columns"], res["rows"])
@@ -189,7 +193,7 @@ def _cmd_progressive(args, cfg: Config, seed: int) -> int:
 
 def _cmd_nmae(args, cfg: Config, seed: int) -> int:
     res = run_nmae_study(cfg, seed, n_seeds=args.trials,
-                         n_vectors=args.vectors)
+                         n_vectors=args.vectors, threads=args.threads)
     out = _out_dir(args)
     if args.fmt == "csv":
         write_csv(out / "nmae.csv", res["columns"], res["rows"])

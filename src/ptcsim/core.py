@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,7 +314,7 @@ def _detector_sd(row, col, mode, params, shape):
 
 
 def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
-                coupling_free):
+                coupling_free, threads=1, out=None):
     """Noisy products of a batch of mapped layers: the one light path of
     :func:`simulate_mvm_batch` and :func:`simulate_layer_readouts`.
 
@@ -327,7 +328,15 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     with ``x2d``, written into the mode's first readout, gives its product;
     the mode's other readouts copy it.  Output gating acts on the product:
     a gated readout has its dead rows set to 0.0.  Returns one array,
-    (len(layouts), g, len(readouts)) + lead + (p*r*k1, m).
+    (len(layouts), g, len(readouts)) + lead + (p*r*k1, m): ``out`` when it
+    is given.
+
+    When the realized cores carry the lead's first (seed) axis, that axis
+    is cut into min(``threads``, seeds) contiguous slices after the draws,
+    and each worker thread realizes, folds, contracts and gates its slice
+    into its own slice of the one buffer and the one result.  Every seed's
+    arithmetic is the same as in one pass, so the products do not depend
+    on ``threads``.
 
     Precision: under phase noise (sigma 1e-2 rad by default, far above
     float32's 6e-8) the crosstalk, the noise add and the sine run in
@@ -343,6 +352,47 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     phases = weight_to_phase(w)
     if noise is not None:
         phases = phases.astype(np.float32)
+    # One buffer serves every realization.
+    cores = lead if noise is not None else np.broadcast_shapes(
+        rows.shape[1:-2], w.shape[:-6], col.shape[:-4])
+    w_real = np.empty(cores + (p, r * k1, q * c * k2))
+    buf = w_real if noise is None else np.empty(w_real.shape, np.float32)
+    if out is None:
+        out = np.empty((len(layouts), len(rows), len(readouts)) + lead
+                       + (p * r * k1, m))
+    n = min(threads, cores[0]) if len(cores) == len(lead) > 0 else 1
+    if n <= 1:
+        _read_seeds(x2d, phases, rows, col, noise, normals, w_real, buf, out,
+                    readouts, layouts, params, fit, coupling_free)
+        return out
+
+    def run(seeds):
+        def cut(a, tail, axis=0):
+            # Batch axes start at ``axis`` and end before ``tail`` core
+            # axes; a broadcast seed axis is shared whole.
+            if a is None or a.ndim - axis - tail != len(lead) or a.shape[axis] == 1:
+                return a
+            return a[(slice(None),) * axis + (seeds,)]
+
+        _read_seeds(cut(x2d, 2), cut(phases, 6), cut(rows, 2, 1), cut(col, 4),
+                    cut(noise, 6), cut(normals, 2), cut(w_real, 3), cut(buf, 3),
+                    cut(out, 2, 3), readouts, layouts, params, fit,
+                    coupling_free)
+
+    edges = [cores[0] * i // n for i in range(n + 1)]
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        list(pool.map(run, map(slice, edges[:-1], edges[1:])))
+    return out
+
+
+def _read_seeds(x2d, phases, rows, col, noise, normals, w_real, buf, out,
+                readouts, layouts, params, fit, coupling_free):
+    """The body of :func:`_light_path` for the seeds of ``out``: realize,
+    fold, contract and gate every (row mask, layout) into ``out``, with
+    ``w_real`` and ``buf`` the realization buffers of those seeds."""
+    *_, p, q, r, c, k1, k2 = phases.shape
+    lead, m = out.shape[3:-2], out.shape[-1]
+    cores = w_real.shape[:-3]
     col_7 = col[..., :, :, None, :, None, :]
     col_p = col.reshape(col.shape[:-3] + (1, q * c * k2))
     dead_cols = ~col_p
@@ -354,12 +404,6 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     sds = {} if normals is None else {
         mode: _detector_sd(rows[0], col, mode, params, lead + (p, q, r, c, k1))
         for mode in modes}
-    # One buffer serves every realization.
-    cores = lead if noise is not None else np.broadcast_shapes(
-        rows.shape[1:-2], w.shape[:-6], col.shape[:-4])
-    w_real = np.empty(cores + (p, r * k1, q * c * k2))
-    buf = w_real if noise is None else np.empty(w_real.shape, np.float32)
-    out = np.empty((len(layouts), len(rows), len(readouts)) + lead + (p * r * k1, m))
     for ig, row in enumerate(rows):
         row_p = row.reshape(row.shape[:-2] + (1, r * k1, 1))
         dead_rows = ~row_p
@@ -388,7 +432,6 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
                 if output_gating:
                     np.copyto(y.reshape(lead + (p, r * k1, m)), 0.0,
                               where=dead_rows)
-    return out
 
 
 def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
@@ -421,7 +464,8 @@ def simulate_layer_readouts(x, w6, row_masks, col_mask, readouts, layouts,
                             params: DeviceParams = DeviceParams(),
                             fit: GammaFit = GammaFit(),
                             rng: np.random.Generator | int | None = 0,
-                            coupling_free: bool = False) -> np.ndarray:
+                            coupling_free: bool = False, threads: int = 1,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """One mapped layer's noisy products under several layouts, row masks
     and readouts, sharing every noise draw.
 
@@ -440,7 +484,13 @@ def simulate_layer_readouts(x, w6, row_masks, col_mask, readouts, layouts,
     Returns one array, (len(layouts), g, len(readouts), ..., p*r*k1, m),
     whose [layout, row mask, readout] slice equals bit for bit a
     :func:`simulate_layer` call with that layout, row mask and readout and
-    an identically seeded generator.
+    an identically seeded generator.  ``out``, a C-contiguous float64 array
+    of that shape, receives the products when it is given.
+
+    ``threads`` workers (at most one per seed) split the leading seed axis
+    of ``x`` and ``col_mask`` after the draws, when the realized weights
+    carry it (a column mask per seed, or phase noise on); the products are
+    the same for every ``threads``.
     """
     x, w6, row, col, rng = _mvm_args(x, w6, row_masks, col_mask, rng)
     readouts = _readouts(readouts)
@@ -456,10 +506,20 @@ def simulate_layer_readouts(x, w6, row_masks, col_mask, readouts, layouts,
     layouts = list(layouts) if np.iterable(layouts) else []
     if not layouts or not all(isinstance(lay, LayoutParams) for lay in layouts):
         raise DeviceModelError("layouts must be a non-empty sequence of LayoutParams")
+    if (isinstance(threads, bool) or not isinstance(threads, (int, np.integer))
+            or threads < 1):
+        raise DeviceModelError(
+            f"threads must be an integer of at least 1, got {threads!r}")
     lead = _batch_shape(x=x.shape[:-4], col_mask=col.shape[:-4])
+    shape = (len(layouts), len(row), len(readouts)) + lead + (p * r * k1, x.shape[-1])
+    if out is not None and not (isinstance(out, np.ndarray) and out.shape == shape
+                                and out.dtype == np.float64
+                                and out.flags.c_contiguous and out.flags.writeable):
+        raise DeviceModelError(f"out must be a writeable C-contiguous float64 "
+                               f"array of shape {shape}")
     return _light_path(x.reshape(x.shape[:-4] + (q * c * k2, x.shape[-1])), w6,
                        row, col, readouts, layouts, lead, params, fit, rng,
-                       coupling_free)
+                       coupling_free, threads, out)
 
 
 def simulate_layer(x, w6, row_mask, col_mask, mode: ExecutionMode,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -88,17 +87,14 @@ def _sweep_point(cfg: Config, point: dict) -> dict:
     return row
 
 
-def run_sweep(cfg: Config, threads: int = 1) -> dict:
-    """Dense-model grid sweep over the configured axes.
+def run_sweep(cfg: Config) -> dict:
+    """Dense-model grid sweep over the configured axes, point by point.
 
     Points that fail validation (e.g. a negative spacing) are kept as rows
     carrying an ``error`` string; the minimum-PAP flag considers only the
     points that evaluated.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(lambda pt: _sweep_point(cfg, pt), cfg.sweep.grid()))
+    rows = [_sweep_point(cfg, pt) for pt in cfg.sweep.grid()]
 
     best = None
     for i, row in enumerate(rows):
@@ -290,7 +286,8 @@ def run_progressive(cfg: Config, seed: int) -> dict:
 
 def _nmae_block(w6: np.ndarray, x: np.ndarray, rows: np.ndarray, col,
                 readouts, device: DeviceParams, layouts, fit: GammaFit,
-                rng: np.random.Generator) -> np.ndarray:
+                rng: np.random.Generator, threads: int = 1,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Layer-level N-MAE for a block of seeds, one value per layout, row
     mask, (mode, output_gating) pair and seed: an array (len(layouts), g,
     len(readouts), S).
@@ -299,7 +296,9 @@ def _nmae_block(w6: np.ndarray, x: np.ndarray, rows: np.ndarray, col,
     ``col`` is (S, q, c, k2), or None for dense columns, whose mask has no
     seed axis so that every seed shares one crosstalk pass; ``layouts`` is
     a sequence of :class:`LayoutParams`.  Every layout and row mask shares
-    each noise draw, and the readouts share one realized light path.  The
+    each noise draw, and the readouts share one realized light path, split
+    over ``threads`` workers along the seed axis.  ``out``, when given, is
+    scratch for the products (see :func:`simulate_layer_readouts`).  The
     reference masks rows in ``w6`` and columns in ``x``.
     """
     s_n, q, c, k2, m = x.shape
@@ -309,7 +308,8 @@ def _nmae_block(w6: np.ndarray, x: np.ndarray, rows: np.ndarray, col,
     rows = np.asarray(rows, dtype=bool)
     err = simulate_layer_readouts(
         x, w6, rows, np.broadcast_to(col_b[:, None], (len(col_b), p, q, c, k2)),
-        readouts, layouts, params=device, fit=fit, rng=rng)
+        readouts, layouts, params=device, fit=fit, rng=rng, threads=threads,
+        out=out)
 
     x_ref = (x * col_b[..., None]).reshape(s_n, q * c * k2, m)
     w2d = (w6 * rows[:, None, None, :, None, :, None]).transpose(0, 1, 3, 5, 2, 4, 6)
@@ -331,7 +331,8 @@ def _one_sided_z(diffs: np.ndarray) -> dict:
 
 def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
                    n_vectors: int = 8, l_g_values=(1.0, 3.0, 5.0),
-                   col_densities=(0.25,), block_size: int = 50) -> dict:
+                   col_densities=(0.25,), block_size: int = 50,
+                   threads: int = 1) -> dict:
     """Computational-fidelity study on a 64-channel 3x3 conv layer.
 
     Part one varies the row-mask pattern (dense / blocked / interleaved at
@@ -346,7 +347,9 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
     study part.  The gaps are thus paired designs (common random numbers),
     as are the variants within a gap.  Each part's N-MAE is one array,
     seeds last.  Differences are paired, and ``comparisons`` holds
-    one-sided z statistics for the headline orderings.
+    one-sided z statistics for the headline orderings.  ``threads``
+    workers split each block's seeds after its draws; the result does not
+    depend on it.
     """
     if n_seeds < 2:
         raise ValueError(f"the study needs at least 2 seeds (--trials), got {n_seeds}")
@@ -354,6 +357,8 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
         raise ValueError(f"the study needs at least 1 vector (--vectors), got {n_vectors}")
     if block_size < 1:
         raise ValueError(f"block_size must be at least 1, got {block_size}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if len(l_g_values) == 0:
         raise ValueError("l_g_values must name at least one gap")
     arch, device = cfg.arch, cfg.device
@@ -381,16 +386,25 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
     gated_modes = [(mode, True) for mode in modes]
     sizes = [min(block_size, n_seeds - lo) for lo in range(0, n_seeds, block_size)]
 
+    def products(g, readouts):
+        # The full-size seed blocks of a part write their products into one
+        # array, so its pages are mapped once per part, not once per block.
+        return np.empty((len(layouts), g, len(readouts), sizes[0],
+                         w6.shape[0] * rk1, n_vectors))
+
     # -- row patterns, dense columns: (gap, pattern, gating, seed) --------
+    full = products(len(row_masks), gatings)
     blocks = []
     for ib, s_n in enumerate(sizes):
         x = derive_rng(seed, 41, ib).uniform(
             0.0, 1.0, size=(s_n, q, c, k2, n_vectors))
         blocks.append(_nmae_block(w6, x, row_masks, None, gatings, device,
-                                  layouts, fit, rng=derive_rng(seed, 40, ib)))
+                                  layouts, fit, derive_rng(seed, 40, ib), threads,
+                                  full if s_n == sizes[0] else None))
     row_nmae = np.concatenate(blocks, axis=-1)
 
     # -- column densities x execution modes: per density (gap, mode, seed)
+    full = products(1, gated_modes)
     mode_nmae = []
     for di, dens in enumerate(col_densities):
         n_keep = round_half_up(float(dens) * k2)
@@ -404,7 +418,8 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
             np.put_along_axis(col, order[..., :n_keep], True, axis=-1)
             blocks.append(_nmae_block(
                 w6, x, np.ones((1, r, k1), dtype=bool), col, gated_modes, device,
-                layouts, fit, rng=derive_rng(seed, 44, di, ib))[:, 0])
+                layouts, fit, derive_rng(seed, 44, di, ib), threads,
+                full if s_n == sizes[0] else None)[:, 0])
         mode_nmae.append(np.concatenate(blocks, axis=-1))
 
     rows: list[dict] = []

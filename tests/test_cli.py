@@ -221,6 +221,16 @@ def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
     assert not (tmp_path / "sweep.json").exists()
 
 
+def test_nmae_output_does_not_depend_on_threads(tmp_path):
+    outs = []
+    for threads in ("1", "2"):
+        code, out = _run(tmp_path / threads, "--threads", threads, "nmae",
+                         "--trials", "5", "--vectors", "2")
+        assert code == 0
+        outs.append((out / "nmae.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -3,10 +3,12 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import ptcsim.core
 from ptcsim.arch import ArchConfig, ColumnPowerModel
 from ptcsim.core import (
     ExecutionMode,
@@ -578,6 +580,99 @@ def test_readouts_are_one_array_whose_slices_never_alias(mode):
         before = gated.copy()
         ungated[...] = np.nan
         assert np.array_equal(gated, before)
+
+
+@pytest.mark.parametrize("n_seeds", [1, 2, 5])
+@pytest.mark.parametrize("seed_axis", [False, True])
+@pytest.mark.parametrize("phase_sigma", [0.0, 0.02])
+def test_threads_split_the_seeds_without_changing_a_product(n_seeds, seed_axis,
+                                                           phase_sigma):
+    # Workers split the seed axis after the draws: every (layout, row mask,
+    # mode, output gating) product is the same bit for bit at 1, 2 and 3
+    # threads, for seed counts that do not divide evenly, one seed, a
+    # column mask shared by the seeds (one crosstalk pass) or one per seed,
+    # and phase noise on or off (detector noise on).
+    w6, x, row, col = _layer_operands(75, n_seeds=n_seeds)
+    if not seed_axis:
+        col = col[:1]
+    masks = np.stack([row, np.ones_like(row)])
+    dev = DeviceParams(phase_noise_sigma_rad=phase_sigma)
+    one = simulate_layer_readouts(x, w6, masks, col, ALL_READOUTS, LAYOUTS,
+                                  dev, rng=derive_rng(76))
+    assert one.shape == (3, 2, 6, n_seeds, P * R * K1, 3)
+    for threads in (2, 3):
+        assert np.array_equal(one, simulate_layer_readouts(
+            x, w6, masks, col, ALL_READOUTS, LAYOUTS, dev, rng=derive_rng(76),
+            threads=threads))
+
+
+def test_threads_write_disjoint_slices_under_contention():
+    # More workers than cores, switching threads every microsecond: a
+    # worker that wrote outside its own seeds would change the product.
+    w6, x, row, col = _layer_operands(81, n_seeds=16)
+    run = dict(readouts=ALL_READOUTS, layouts=LAYOUTS, rng=82)
+    one = simulate_layer_readouts(x, w6, row[None], col, **run)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = simulate_layer_readouts(x, w6, row[None], col, threads=8, **run)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(one, many)
+
+
+def test_threads_never_start_more_workers_than_seeds(monkeypatch):
+    # The pool size is min(threads, seeds); a call whose realized weights
+    # have no seed axis (no phase noise and one shared column mask, or no
+    # seed axis at all) starts no pool.  A stub executor records each pool
+    # and runs its work on the calling thread, so no thread is started.
+    pools = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(ptcsim.core, "ThreadPoolExecutor", Recorder)
+    w6, x, row, col = _layer_operands(77, n_seeds=3)
+    run = dict(readouts=ALL_READOUTS, layouts=[LAY], rng=78)
+    many = simulate_layer_readouts(x, w6, row[None], col, threads=10_000, **run)
+    assert pools == [3]
+    assert np.array_equal(many, simulate_layer_readouts(x, w6, row[None], col,
+                                                        **run))
+    assert pools == [3]
+    quiet = DeviceParams(phase_noise_sigma_rad=0.0)
+    simulate_layer_readouts(x, w6, row[None], col[:1], params=quiet,
+                            threads=10_000, **run)
+    simulate_layer_readouts(x[0], w6, row[None], col[0], threads=10_000, **run)
+    assert pools == [3]
+
+
+def test_layer_readouts_write_into_a_given_array():
+    # ``out`` receives the products and is returned; an array of another
+    # shape, dtype or layout, and a thread count below one or not an
+    # integer, are rejected.
+    w6, x, row, col = _layer_operands(79, n_seeds=2)
+    run = dict(readouts=ALL_READOUTS, layouts=[LAY])
+    fresh = simulate_layer_readouts(x, w6, row[None], col, rng=derive_rng(80), **run)
+    out = np.full(fresh.shape, np.nan)
+    got = simulate_layer_readouts(x, w6, row[None], col, rng=derive_rng(80),
+                                  out=out, threads=2, **run)
+    assert got is out and np.array_equal(out, fresh)
+    for bad in (out[..., :1], out.astype(np.float32), np.asfortranarray(out)):
+        with pytest.raises(DeviceModelError, match="out must be"):
+            simulate_layer_readouts(x, w6, row[None], col, out=bad, **run)
+    for threads in (0, -1, 1.5, True):
+        with pytest.raises(DeviceModelError, match="threads must be"):
+            simulate_layer_readouts(x, w6, row[None], col, threads=threads, **run)
 
 
 def _realized_oracle(w6, row, col, noise, layout, dev, readout):

@@ -59,16 +59,6 @@ def test_sweep_arm_spacing_minimum_sits_at_nine_microns():
     assert all(row["error"] is None for row in out["rows"])
 
 
-def test_sweep_threads_do_not_change_results():
-    assert run_sweep(CFG, threads=3) == run_sweep(CFG, threads=1)
-
-
-@pytest.mark.parametrize("threads", [0, -4])
-def test_sweep_rejects_fewer_than_one_thread(threads):
-    with pytest.raises(ValueError, match="threads must be at least 1"):
-        run_sweep(CFG, threads=threads)
-
-
 def test_sweep_keeps_failed_points_as_error_rows():
     cfg = dataclasses.replace(
         CFG, sweep=SweepSpec(axes={"layout.l_s_um": [9.0, -1.0]}))
@@ -254,6 +244,23 @@ def test_nmae_study_structure_and_determinism():
     assert out == run_nmae_study(CFG, seed=0, n_seeds=6, n_vectors=4,
                                  l_g_values=(5.0,), col_densities=(0.25,),
                                  block_size=4)
+
+
+def test_nmae_study_threads_do_not_change_results():
+    # Blocks of 4, 4 and 1 seeds: the two full blocks of each part share
+    # one product array, and the workers split each block's seeds (the
+    # one-seed block runs on one).
+    run = dict(seed=0, n_seeds=9, n_vectors=2, l_g_values=(1.0, 5.0),
+               col_densities=(0.25, 0.5), block_size=4)
+    one = run_nmae_study(CFG, threads=1, **run)
+    for threads in (2, 3):
+        assert run_nmae_study(CFG, threads=threads, **run) == one
+
+
+@pytest.mark.parametrize("threads", [0, -4])
+def test_nmae_study_rejects_fewer_than_one_thread(threads):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        run_nmae_study(CFG, seed=0, n_seeds=3, n_vectors=2, threads=threads)
 
 
 def test_nmae_vanishes_for_quiet_well_separated_dense_design():

@@ -7,7 +7,8 @@ Usage::
 Runs, through ``ptcsim.cli.main`` and each into its own directory under
 ``OUT_DIR`` (which must be new or empty):
 
-* ``report``, ``sweep --threads 2`` and ``nmae --trials 10 --vectors 4``;
+* ``report``, ``sweep`` and ``nmae --trials 10 --vectors 4``, the last
+  on two threads (``--threads 2``);
 * ``progressive`` at seeds 0-5;
 * ``train --dataset blobs --epochs 4`` with ``dst.lr`` 0.01 at seeds 1-3
   and densities 0.3 and 0.5;
@@ -38,9 +39,9 @@ def commands(root: Path, config: Path) -> list[list[str]]:
     """The argv of every command, in run order; ``evaluate`` comes after
     the ``train`` whose checkpoint it reads."""
     runs = [["--out", str(root / "report"), "report"],
-            ["--out", str(root / "sweep"), "--threads", "2", "sweep"],
-            ["--out", str(root / "nmae"), "nmae", "--trials", "10",
-             "--vectors", "4"]]
+            ["--out", str(root / "sweep"), "sweep"],
+            ["--out", str(root / "nmae"), "--threads", "2", "nmae", "--trials",
+             "10", "--vectors", "4"]]
     runs += [["--seed", str(seed), "--out", str(root / f"progressive_{seed}"),
               "progressive"] for seed in range(6)]
     for seed in (1, 2, 3):
