@@ -24,6 +24,7 @@ import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -211,10 +212,11 @@ def _mvm_args(x, w, row_mask, col_mask, rng):
     if w.ndim < 2:
         raise DeviceModelError("weight array must be at least 2-D (k1, k2)")
     k1, k2 = w.shape[-2], w.shape[-1]
-    # Written so that NaN fails the range checks.
-    if not np.all((-1.0 <= w) & (w <= 1.0)):
+    # Reductions, so no full-size temporaries; NaN (the min and max of an
+    # array holding one) fails the range checks.
+    if w.size and not (-1.0 <= w.min() and w.max() <= 1.0):
         raise DeviceModelError("weights must lie in [-1, 1]")
-    if not np.all((0.0 <= x) & (x <= 1.0)):
+    if x.size and not (0.0 <= x.min() and x.max() <= 1.0):
         raise DeviceModelError("inputs must lie in [0, 1]")
     if row.shape[-1] != k1:
         raise DeviceModelError(f"row mask must have {k1} entries")
@@ -250,14 +252,25 @@ def _phase_noise(shape, params: DeviceParams, rng: np.random.Generator):
     return None
 
 
+def _target(phases, row, col):
+    """Masked target phases (..., p, q, r, c, k1, k2) of the (..., p, q, r,
+    c, k1, k2) ``phases`` under a (..., r, k1) row mask and a (..., p, q,
+    c, k2) column mask.  A pruned MZI drives zero phase, weight_to_phase(0)
+    = -0.0."""
+    return np.where(col[..., :, :, None, :, None, :],
+                    np.where(row[..., None, None, :, None, :, None], phases, -0.0),
+                    -0.0)
+
+
 def _realize(w_out, buf, target, noise, row_p, col_p, layout, params, fit,
-             coupling_free):
+             coupling_free, crossed=None):
     """Realized weights of a batch of cores, written into ``w_out``.
 
-    ``target`` holds the masked target phases, (..., p, q, r, c, k1, k2):
-    a pruned MZI drives zero phase, so it aggresses nobody but still
-    receives crosstalk, which runs once per distinct mapping (the leading
-    dimensions of ``target``).  ``noise`` (from :func:`_phase_noise`, one
+    ``target`` holds the masked target phases, (..., p, q, r, c, k1, k2)
+    (see :func:`_target`): a pruned MZI drives zero phase, so it aggresses
+    nobody but still receives crosstalk, which runs once per distinct
+    mapping (the leading dimensions of ``target``), unless ``crossed``
+    already holds its result.  ``noise`` (from :func:`_phase_noise`, one
     draw per core) is added after it.  The light path is realized in
     ``buf``, laid out as the contraction's matrix (..., p, r*k1, q*c*k2):
     ``w_out`` itself, or under phase noise a float32 array of its shape,
@@ -267,11 +280,13 @@ def _realize(w_out, buf, target, noise, row_p, col_p, layout, params, fit,
     on the mode, so one realization serves every mode, each folding its
     input side into it (see :func:`_light_path`).
     """
-    p, q, r, c, k1, k2 = target.shape[-6:]
+    p, q, r, c, k1, k2 = (target if crossed is None else crossed).shape[-6:]
     w_cores = np.moveaxis(buf.reshape(buf.shape[:-3] + (p, r, k1, q, c, k2)),
                           (-3, -2), (-5, -3))  # a (..., p, q, r, c, k1, k2) view
     if coupling_free:
         phases = target
+    elif crossed is not None:
+        phases = crossed
     elif target.shape == w_cores.shape:  # no mapping shared by several cores
         phases = perturbed_phases(target, layout, fit, out=w_cores)
     else:
@@ -310,7 +325,8 @@ def _detector_sd(row, col, mode, params, shape):
     if mode.redistributes:
         sigma = sigma * col.mean(axis=-1, keepdims=True)
     var = np.broadcast_to(sigma ** 2, shape)
-    return np.sqrt(var.sum(axis=(-4, -2))).reshape(shape[:-5] + (-1, 1))
+    p, r, k1 = shape[-5], shape[-3], shape[-1]  # no -1: a batch may be empty
+    return np.sqrt(var.sum(axis=(-4, -2))).reshape(shape[:-5] + (p * r * k1, 1))
 
 
 def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
@@ -334,9 +350,12 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     When the realized cores carry the lead's first (seed) axis, that axis
     is cut into min(``threads``, seeds) contiguous slices after the draws,
     and each worker thread realizes, folds, contracts and gates its slice
-    into its own slice of the one buffer and the one result.  Every seed's
-    arithmetic is the same as in one pass, so the products do not depend
-    on ``threads``.
+    into its own slice of the one buffer and the one result.  The crosstalk
+    of a mapping the seeds share (a target phase array with no seed axis)
+    runs once per (row mask, layout) on the caller's thread, not once per
+    worker: row mask by row mask, each followed by its split.
+    Every seed's arithmetic is the same as in one pass, so the products do
+    not depend on ``threads``.
 
     Precision: under phase noise (sigma 1e-2 rad by default, far above
     float32's 6e-8) the crosstalk, the noise add and the sine run in
@@ -365,8 +384,10 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
         _read_seeds(x2d, phases, rows, col, noise, normals, w_real, buf, out,
                     readouts, layouts, params, fit, coupling_free)
         return out
+    mapped = np.broadcast_shapes(rows.shape[1:-2], w.shape[:-6], col.shape[:-4])
+    shared = not coupling_free and (len(mapped) < len(lead) or mapped[0] == 1)
 
-    def run(seeds):
+    def run(seeds, rows=rows, out=out, crossed=None):
         def cut(a, tail, axis=0):
             # Batch axes start at ``axis`` and end before ``tail`` core
             # axes; a broadcast seed axis is shared whole.
@@ -377,23 +398,33 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
         _read_seeds(cut(x2d, 2), cut(phases, 6), cut(rows, 2, 1), cut(col, 4),
                     cut(noise, 6), cut(normals, 2), cut(w_real, 3), cut(buf, 3),
                     cut(out, 2, 3), readouts, layouts, params, fit,
-                    coupling_free)
+                    coupling_free, crossed)
 
     edges = [cores[0] * i // n for i in range(n + 1)]
+    slices = list(map(slice, edges[:-1], edges[1:]))
     with ThreadPoolExecutor(max_workers=n) as pool:
-        list(pool.map(run, map(slice, edges[:-1], edges[1:])))
+        if not shared:
+            list(pool.map(run, slices))
+            return out
+        # Row mask by row mask, so that one row mask's passes live at a time.
+        for ig, row in enumerate(rows):
+            crossed = [perturbed_phases(_target(phases, row, col), layout, fit)
+                       for layout in layouts]
+            list(pool.map(partial(run, rows=rows[ig:ig + 1], out=out[:, ig:ig + 1],
+                                  crossed=crossed), slices))
     return out
 
 
 def _read_seeds(x2d, phases, rows, col, noise, normals, w_real, buf, out,
-                readouts, layouts, params, fit, coupling_free):
+                readouts, layouts, params, fit, coupling_free, crossed=None):
     """The body of :func:`_light_path` for the seeds of ``out``: realize,
     fold, contract and gate every (row mask, layout) into ``out``, with
-    ``w_real`` and ``buf`` the realization buffers of those seeds."""
+    ``w_real`` and ``buf`` the realization buffers of those seeds.
+    ``crossed[layout]``, when given (``rows`` then holds one row mask), is
+    the crosstalk pass of a mapping all seeds share."""
     *_, p, q, r, c, k1, k2 = phases.shape
     lead, m = out.shape[3:-2], out.shape[-1]
     cores = w_real.shape[:-3]
-    col_7 = col[..., :, :, None, :, None, :]
     col_p = col.reshape(col.shape[:-3] + (1, q * c * k2))
     dead_cols = ~col_p
     col_gain = np.where(col_p, 1.0, leakage_transmission(params))
@@ -407,12 +438,10 @@ def _read_seeds(x2d, phases, rows, col, noise, normals, w_real, buf, out,
     for ig, row in enumerate(rows):
         row_p = row.reshape(row.shape[:-2] + (1, r * k1, 1))
         dead_rows = ~row_p
-        # A pruned MZI drives zero phase, weight_to_phase(0) = -0.0.
-        target = np.where(col_7, np.where(row[..., None, None, :, None, :, None],
-                                          phases, -0.0), -0.0)
+        target = _target(phases, row, col) if crossed is None else None
         for il, layout in enumerate(layouts):
             _realize(w_real, buf, target, noise, row_p, col_p, layout, params,
-                     fit, coupling_free)
+                     fit, coupling_free, None if crossed is None else crossed[il])
             ys = out[il, ig]
             for mode in modes:
                 # Rerouted light reads dead columns as 0 (boost k2/k2'

@@ -54,6 +54,25 @@ CHECKPOINT_FORMAT = "ptcsim-checkpoint-1"
 DESK_ARCH = ArchConfig(R=2, C=2, k1=4, k2=4, r=2, c=2)
 
 
+class Workspace:
+    """One float64 scratch array for the backends of one evaluation.
+
+    :meth:`take` hands out its first ``n`` elements, growing it when ``n``
+    is larger than any size asked for so far, so the backends of every
+    layer and trial reuse the pages of the largest layer's input instead
+    of each call writing fresh ones.  What :meth:`take` returns is valid
+    until the next call; one caller at a time.
+    """
+
+    def __init__(self):
+        self._buf = np.empty(0)
+
+    def take(self, n: int) -> np.ndarray:
+        if self._buf.size < n:
+            self._buf = np.empty(n)
+        return self._buf[:n]
+
+
 class PhotonicBackend:
     """Routes one layer's 2-D matrix product through the hardware model.
 
@@ -62,12 +81,17 @@ class PhotonicBackend:
     chunks and run as one :func:`~ptcsim.core.simulate_layer` call.  Each
     call appends the product's N-MAE against the exact masked reference to
     ``nmae_log``.
+
+    The normalized, zero-padded input is written into ``workspace`` (a
+    :class:`Workspace` that backends may share, or by default one of the
+    backend's own); the caller's ``x2d`` is never written.
     """
 
     def __init__(self, mask: SparsityMask, arch: ArchConfig,
                  device: DeviceParams, layout: LayoutParams, fit: GammaFit,
                  mode: ExecutionMode, rng: np.random.Generator,
-                 output_gating: bool = True, coupling_free: bool = False):
+                 output_gating: bool = True, coupling_free: bool = False,
+                 workspace: Workspace | None = None):
         self.mask = mask
         self.arch = arch
         self.device = device
@@ -77,6 +101,7 @@ class PhotonicBackend:
         self.rng = rng
         self.output_gating = output_gating
         self.coupling_free = coupling_free
+        self.workspace = Workspace() if workspace is None else workspace
         self.nmae_log: list[float] = []
 
     def __call__(self, w2d: np.ndarray, x2d: np.ndarray) -> np.ndarray:
@@ -85,11 +110,14 @@ class PhotonicBackend:
         x = np.asarray(x2d, dtype=float)
         c_out, fan_in = w.shape
         w_scale = weight_scale(w)
-        x_scale = float(x.max()) if x.size and x.max() > 0 else 1.0
+        x_max = float(x.max()) if x.size else 0.0
+        x_scale = x_max if x_max > 0 else 1.0
         w6 = partition(w / w_scale, arch)
         q, m = w6.shape[1], x.shape[1]
-        xp = np.zeros((q * arch.chunk_cols, m))
-        xp[:fan_in] = x / x_scale
+        padded = q * arch.chunk_cols
+        xp = self.workspace.take(padded * m).reshape(padded, m)
+        np.divide(x, x_scale, out=xp[:fan_in])
+        xp[fan_in:] = 0.0
         y = simulate_layer(
             xp.reshape(q, arch.c, arch.k2, m), w6, self.mask.row,
             self.mask.col, self.mode, self.layout, self.device, self.fit,
@@ -244,9 +272,10 @@ def evaluate_with_variation(model: Sequential, masks: dict[int, SparsityMask],
     """Accuracy and per-layer N-MAE through the noisy hardware path.
 
     Every conv/linear layer runs on the simulated cores; the final linear
-    layer is mapped crosstalk-free.  Returns clean accuracy (exact
-    arithmetic), the per-trial noisy accuracies with their mean and sample
-    std (None for one trial), and mean N-MAE per layer.
+    layer is mapped crosstalk-free.  The backends of every layer and trial
+    share one :class:`Workspace` for their inputs.  Returns clean accuracy
+    (exact arithmetic), the per-trial noisy accuracies with their mean and
+    sample std (None for one trial), and mean N-MAE per layer.
     """
     if n_trials < 1:
         raise DeviceModelError("n_trials must be >= 1")
@@ -263,6 +292,7 @@ def evaluate_with_variation(model: Sequential, masks: dict[int, SparsityMask],
 
     trial_accs: list[float] = []
     layer_nmae: dict[str, list[float]] = {layer.name: [] for _, layer in mapped}
+    workspace = Workspace()
     for trial in range(n_trials):
         backends = {}
         for idx, layer in mapped:
@@ -270,7 +300,7 @@ def evaluate_with_variation(model: Sequential, masks: dict[int, SparsityMask],
                 layer_masks[idx], arch, device, layout, fit, mode,
                 rng=derive_rng(seed, 300, trial, idx),
                 output_gating=output_gating,
-                coupling_free=(idx == last_idx))
+                coupling_free=(idx == last_idx), workspace=workspace)
             layer.photonic = backends[idx]
         try:
             trial_accs.append(evaluate_accuracy(model, x, y))

@@ -364,6 +364,13 @@ def test_input_validation():
         simulate_mvm(np.array([np.nan, 0.5]), w, layout=LAY)
     with pytest.raises(DeviceModelError, match=r"weights must lie in \[-1, 1\]"):
         simulate_mvm(np.array([0.5, 0.5]), np.array([[0.1, np.nan]]), layout=LAY)
+    # Empty operands pass the range checks: no vectors, no seeds, no cores.
+    ones = np.ones(2, dtype=bool)
+    for x, w_batch, shape in ((np.zeros((2, 0)), w, (2, 0)),
+                              (np.zeros((0, 2, 3)), w, (0, 2, 3)),
+                              (np.zeros((2, 3)), np.zeros((0, 2, 2)), (0, 2, 3))):
+        assert simulate_mvm_batch(x, w_batch, ones, ones, ExecutionMode.INPUT_GATING_LR,
+                                  LAY).shape == shape
     with pytest.raises(DeviceModelError, match="row mask"):
         simulate_mvm(np.array([0.5, 0.5]), w, row_mask=np.ones(3, bool),
                      layout=LAY)
@@ -608,17 +615,44 @@ def test_threads_split_the_seeds_without_changing_a_product(n_seeds, seed_axis,
 
 def test_threads_write_disjoint_slices_under_contention():
     # More workers than cores, switching threads every microsecond: a
-    # worker that wrote outside its own seeds would change the product.
+    # worker that wrote outside its own seeds, or into the crosstalk pass
+    # that the seeds of a shared column mask read, would change the product.
     w6, x, row, col = _layer_operands(81, n_seeds=16)
+    masks = np.stack([row, np.ones_like(row)])
     run = dict(readouts=ALL_READOUTS, layouts=LAYOUTS, rng=82)
-    one = simulate_layer_readouts(x, w6, row[None], col, **run)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        many = simulate_layer_readouts(x, w6, row[None], col, threads=8, **run)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(one, many)
+    for cols in (col, col[:1]):
+        one = simulate_layer_readouts(x, w6, masks, cols, **run)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = simulate_layer_readouts(x, w6, masks, cols, threads=8, **run)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(one, many)
+
+
+def test_threads_run_a_shared_crosstalk_pass_once(monkeypatch):
+    # A column mask the seeds share maps every seed's cores alike, so its
+    # crosstalk runs once per (row mask, layout) on the seed-free target at
+    # every thread count, not once per worker; the products do not change.
+    calls = []
+
+    def counted(target, *args, **kwargs):
+        calls.append(target.shape[0])
+        return perturbed_phases(target, *args, **kwargs)
+
+    monkeypatch.setattr(ptcsim.core, "perturbed_phases", counted)
+    w6, x, row, col = _layer_operands(83, n_seeds=4)
+    masks = np.stack([row, np.ones_like(row)])
+    run = dict(readouts=ALL_READOUTS, layouts=LAYOUTS)
+    one = simulate_layer_readouts(x, w6, masks, col[:1], rng=derive_rng(84), **run)
+    assert calls == [1] * (len(masks) * len(LAYOUTS))
+    for threads in (2, 3):
+        calls.clear()
+        many = simulate_layer_readouts(x, w6, masks, col[:1], rng=derive_rng(84),
+                                       threads=threads, **run)
+        assert calls == [1] * (len(masks) * len(LAYOUTS))
+        assert np.array_equal(one, many)
 
 
 def test_threads_never_start_more_workers_than_seeds(monkeypatch):

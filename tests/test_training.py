@@ -9,12 +9,14 @@ from ptcsim.core import ExecutionMode, derive_rng
 from ptcsim.data import load_dataset, resolve_dataset, synthetic_separable
 from ptcsim.devices import DeviceModelError, DeviceParams
 from ptcsim.layout import LayoutParams
-from ptcsim.nn import build_desk_convnet, build_toy_mlp
+from ptcsim.nn import _MatmulLayer, build_desk_convnet, build_toy_mlp
 from ptcsim.sparsity import DstSchedule, init_masks, mask_power, partition
 from ptcsim.training import (
     DESK_ARCH,
     PhotonicBackend,
     TrainResult,
+    Workspace,
+    _dense_mask,
     evaluate_accuracy,
     evaluate_with_variation,
     load_checkpoint,
@@ -51,6 +53,35 @@ def test_photonic_backend_is_transparent_when_quiet():
     assert np.allclose(y, w @ x, rtol=1e-9, atol=1e-12)
     assert len(backend.nmae_log) == 1
     assert backend.nmae_log[0] < 1e-9
+
+
+def test_backends_sharing_a_workspace_match_fresh_ones():
+    """One workspace across three layers in turn: an unpadded layer (fan_in
+    144, 18 chunks of 8 columns), a padded one (fan_in 9, whose pad rows
+    then hold the first layer's inputs), then the first again.  Every
+    product and N-MAE equals bit for bit a fresh backend's, and the
+    caller's input is never written.  Under prune-only the pad columns'
+    leakage reads the pad rows, so stale inputs there would show."""
+    rng = np.random.default_rng(2)
+    layers = []
+    for c_out, fan_in, m in ((8, 144, 50), (6, 9, 70)):
+        w = rng.uniform(-0.5, 0.5, size=(c_out, fan_in))
+        x = rng.uniform(0.0, 3.0, size=(fan_in, m))
+        mask = init_masks(0.5, c_out, fan_in, DESK_ARCH, w, DeviceParams(), LAY)
+        layers.append((w, x, mask))
+    shared = Workspace()
+    for call, (w, x, mask) in enumerate([layers[0], layers[1], layers[0]]):
+        def backend(**kwargs):
+            return PhotonicBackend(mask, DESK_ARCH, DeviceParams(), LAY, GammaFit(),
+                                   ExecutionMode.PRUNE_ONLY,
+                                   derive_rng(3, call), **kwargs)
+
+        before = x.copy()
+        reused, fresh = backend(workspace=shared), backend()
+        y = reused(w, x)
+        assert np.array_equal(x, before)
+        assert np.array_equal(y, fresh(w, x))
+        assert reused.nmae_log == fresh.nmae_log and len(fresh.nmae_log) == 1
 
 
 def test_photonic_backend_rejects_foreign_mask():
@@ -278,3 +309,36 @@ def test_digits_substitute_is_announced():
 def test_unknown_dataset_name():
     with pytest.raises(ValueError, match="unknown dataset"):
         load_dataset("mnist")
+
+
+@pytest.mark.parametrize("mode", ["input_gating_lr", "prune_only"])
+def test_evaluate_with_variation_matches_fresh_backends(mode):
+    """The evaluation's one shared workspace changes nothing: its dict
+    equals that of a loop building fresh backends, each with no workspace."""
+    result = _run_toy(0.5, epochs=2)
+    model, x_test, y_test = result.model, _toy_data()[2][:40], _toy_data()[3][:40]
+    args = (DESK_ARCH, DeviceParams(), LAY, GammaFit())
+    got = evaluate_with_variation(model, result.masks, *args, mode, n_trials=3,
+                                  seed=5, x=x_test, y=y_test, output_gating=False)
+
+    mapped = [(idx, layer) for idx, layer in enumerate(model.layers)
+              if isinstance(layer, _MatmulLayer)]
+    accs, logs = [], {layer.name: [] for _, layer in mapped}
+    for trial in range(3):
+        for idx, layer in mapped:
+            layer.photonic = PhotonicBackend(
+                result.masks.get(idx) or _dense_mask(layer, *args), *args,
+                ExecutionMode.parse(mode), derive_rng(5, 300, trial, idx),
+                output_gating=False, coupling_free=(idx == mapped[-1][0]))
+        accs.append(evaluate_accuracy(model, x_test, y_test))
+        for _, layer in mapped:
+            logs[layer.name].append(float(np.mean(layer.photonic.nmae_log)))
+            layer.photonic = None
+    assert got == {
+        "mode": mode, "output_gating": False,
+        "clean_accuracy": evaluate_accuracy(model, x_test, y_test),
+        "noisy_accuracy_mean": float(np.mean(accs)),
+        "noisy_accuracy_std": float(np.std(accs, ddof=1)),
+        "trial_accuracies": accs,
+        "layer_nmae": {name: float(np.mean(v)) for name, v in logs.items()},
+    }

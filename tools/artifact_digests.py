@@ -12,7 +12,9 @@ Runs, through ``ptcsim.cli.main`` and each into its own directory under
 * ``progressive`` at seeds 0-5;
 * ``train --dataset blobs --epochs 4`` with ``dst.lr`` 0.01 at seeds 1-3
   and densities 0.3 and 0.5;
-* ``evaluate --trials 2`` on the seed-1, density-0.3 checkpoint.
+* ``evaluate --trials 2`` on the seed-1, density-0.3 checkpoint, and
+  ``evaluate --mode prune_only --no-output-gating --trials 2`` on the
+  seed-1, density-0.5 one.
 
 Then prints one ``sha256  path`` line per file in ``OUT_DIR`` (the
 artifacts and the training config it writes), sorted by path.  The
@@ -36,8 +38,8 @@ from ptcsim.cli import main  # noqa: E402
 
 
 def commands(root: Path, config: Path) -> list[list[str]]:
-    """The argv of every command, in run order; ``evaluate`` comes after
-    the ``train`` whose checkpoint it reads."""
+    """The argv of every command, in run order; each ``evaluate`` comes
+    after the ``train`` whose checkpoint it reads."""
     runs = [["--out", str(root / "report"), "report"],
             ["--out", str(root / "sweep"), "sweep"],
             ["--out", str(root / "nmae"), "--threads", "2", "nmae", "--trials",
@@ -53,6 +55,10 @@ def commands(root: Path, config: Path) -> list[list[str]]:
     runs.append(["--seed", "1", "--out", str(root / "evaluate"), "evaluate",
                  "--checkpoint", str(root / "train_1_0.3" / "checkpoint.json"),
                  "--trials", "2"])
+    runs.append(["--seed", "1", "--out", str(root / "evaluate_prune_only"),
+                 "evaluate", "--checkpoint",
+                 str(root / "train_1_0.5" / "checkpoint.json"),
+                 "--mode", "prune_only", "--no-output-gating", "--trials", "2"])
     return runs
 
 
