@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -218,9 +219,9 @@ def _mvm_args(x, w, row_mask, col_mask, rng):
         raise DeviceModelError("weights must lie in [-1, 1]")
     if x.size and not (0.0 <= x.min() and x.max() <= 1.0):
         raise DeviceModelError("inputs must lie in [0, 1]")
-    if row.shape[-1] != k1:
+    if row.shape[-1:] != (k1,):
         raise DeviceModelError(f"row mask must have {k1} entries")
-    if col.shape[-1] != k2:
+    if col.shape[-1:] != (k2,):
         raise DeviceModelError(f"column mask must have {k2} entries")
     if not isinstance(rng, np.random.Generator):
         rng = derive_rng(0 if rng is None else rng)
@@ -262,15 +263,15 @@ def _target(phases, row, col):
                     -0.0)
 
 
-def _realize(w_out, buf, target, noise, row_p, col_p, layout, params, fit,
-             coupling_free, crossed=None):
+def _realize(w_out, buf, phases, noise, row_p, col_p, layout, params, fit):
     """Realized weights of a batch of cores, written into ``w_out``.
 
-    ``target`` holds the masked target phases, (..., p, q, r, c, k1, k2)
-    (see :func:`_target`): a pruned MZI drives zero phase, so it aggresses
-    nobody but still receives crosstalk, which runs once per distinct
-    mapping (the leading dimensions of ``target``), unless ``crossed``
-    already holds its result.  ``noise`` (from :func:`_phase_noise`, one
+    ``phases`` holds masked phases, (..., p, q, r, c, k1, k2) (see
+    :func:`_target`): a pruned MZI drives zero phase, so it aggresses
+    nobody but still receives crosstalk.  ``layout``'s crosstalk is written
+    straight into the realization; with ``layout`` None the phases are
+    taken as they are (crosstalk off, or a shared mapping already crossed,
+    see :func:`_light_path`).  ``noise`` (from :func:`_phase_noise`, one
     draw per core) is added after it.  The light path is realized in
     ``buf``, laid out as the contraction's matrix (..., p, r*k1, q*c*k2):
     ``w_out`` itself, or under phase noise a float32 array of its shape,
@@ -280,17 +281,11 @@ def _realize(w_out, buf, target, noise, row_p, col_p, layout, params, fit,
     on the mode, so one realization serves every mode, each folding its
     input side into it (see :func:`_light_path`).
     """
-    p, q, r, c, k1, k2 = (target if crossed is None else crossed).shape[-6:]
+    p, q, r, c, k1, k2 = phases.shape[-6:]
     w_cores = np.moveaxis(buf.reshape(buf.shape[:-3] + (p, r, k1, q, c, k2)),
                           (-3, -2), (-5, -3))  # a (..., p, q, r, c, k1, k2) view
-    if coupling_free:
-        phases = target
-    elif crossed is not None:
-        phases = crossed
-    elif target.shape == w_cores.shape:  # no mapping shared by several cores
-        phases = perturbed_phases(target, layout, fit, out=w_cores)
-    else:
-        phases = perturbed_phases(target, layout, fit)
+    if layout is not None:
+        phases = perturbed_phases(phases, layout, fit, out=w_cores)
     if noise is not None:
         np.add(phases, noise, out=w_cores)
     elif phases is not w_cores:
@@ -347,15 +342,15 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     (len(layouts), g, len(readouts)) + lead + (p*r*k1, m): ``out`` when it
     is given.
 
-    When the realized cores carry the lead's first (seed) axis, that axis
-    is cut into min(``threads``, seeds) contiguous slices after the draws,
-    and each worker thread realizes, folds, contracts and gates its slice
-    into its own slice of the one buffer and the one result.  The crosstalk
-    of a mapping the seeds share (a target phase array with no seed axis)
-    runs once per (row mask, layout) on the caller's thread, not once per
-    worker: row mask by row mask, each followed by its split.
-    Every seed's arithmetic is the same as in one pass, so the products do
-    not depend on ``threads``.
+    The seed axis is cut into n = min(``threads``, seeds) contiguous
+    slices after the draws (n = 1 when the realized cores carry no seed
+    axis), and row mask by row mask each slice is realized, folded,
+    contracted and gated into its own slice of the buffer and the result:
+    inline for n = 1, else on n worker threads.  A mapping several
+    realized cores share (its batch shape is not theirs) is crossed on the
+    caller's thread once per (row mask, layout); any other is crossed
+    slice by slice straight into the buffer.  Each seed's arithmetic is
+    the same in every slice, so the products do not depend on ``threads``.
 
     Precision: under phase noise (sigma 1e-2 rad by default, far above
     float32's 6e-8) the crosstalk, the noise add and the sine run in
@@ -371,23 +366,22 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     phases = weight_to_phase(w)
     if noise is not None:
         phases = phases.astype(np.float32)
+    # Under phase noise each core of the lead is realized on its own, so
+    # several of them can read one mapping (row, weight and column leads).
+    mapped = np.broadcast_shapes(rows.shape[1:-2], w.shape[:-6], col.shape[:-4])
+    cores = lead if noise is not None else mapped
+    shared = not coupling_free and mapped != cores
     # One buffer serves every realization.
-    cores = lead if noise is not None else np.broadcast_shapes(
-        rows.shape[1:-2], w.shape[:-6], col.shape[:-4])
     w_real = np.empty(cores + (p, r * k1, q * c * k2))
     buf = w_real if noise is None else np.empty(w_real.shape, np.float32)
     if out is None:
         out = np.empty((len(layouts), len(rows), len(readouts)) + lead
                        + (p * r * k1, m))
     n = min(threads, cores[0]) if len(cores) == len(lead) > 0 else 1
-    if n <= 1:
-        _read_seeds(x2d, phases, rows, col, noise, normals, w_real, buf, out,
-                    readouts, layouts, params, fit, coupling_free)
-        return out
-    mapped = np.broadcast_shapes(rows.shape[1:-2], w.shape[:-6], col.shape[:-4])
-    shared = not coupling_free and (len(mapped) < len(lead) or mapped[0] == 1)
+    slices = ([slice(cores[0] * i // n, cores[0] * (i + 1) // n) for i in range(n)]
+              if n > 1 else [slice(None)])
 
-    def run(seeds, rows=rows, out=out, crossed=None):
+    def run(seeds, row, ys, crossed):
         def cut(a, tail, axis=0):
             # Batch axes start at ``axis`` and end before ``tail`` core
             # axes; a broadcast seed axis is shared whole.
@@ -395,36 +389,35 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
                 return a
             return a[(slice(None),) * axis + (seeds,)]
 
-        _read_seeds(cut(x2d, 2), cut(phases, 6), cut(rows, 2, 1), cut(col, 4),
+        _read_seeds(cut(x2d, 2), cut(phases, 6), cut(row, 2), cut(col, 4),
                     cut(noise, 6), cut(normals, 2), cut(w_real, 3), cut(buf, 3),
-                    cut(out, 2, 3), readouts, layouts, params, fit,
-                    coupling_free, crossed)
+                    cut(ys, 2, 2), readouts, layouts, params, fit,
+                    coupling_free, crossed and [cut(a, 6) for a in crossed])
 
-    edges = [cores[0] * i // n for i in range(n + 1)]
-    slices = list(map(slice, edges[:-1], edges[1:]))
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        if not shared:
-            list(pool.map(run, slices))
-            return out
-        # Row mask by row mask, so that one row mask's passes live at a time.
+    with ThreadPoolExecutor(max_workers=n) if n > 1 else nullcontext() as pool:
         for ig, row in enumerate(rows):
-            crossed = [perturbed_phases(_target(phases, row, col), layout, fit)
-                       for layout in layouts]
-            list(pool.map(partial(run, rows=rows[ig:ig + 1], out=out[:, ig:ig + 1],
-                                  crossed=crossed), slices))
+            crossed = None
+            if shared:
+                target = _target(phases, row, col)
+                crossed = [perturbed_phases(target, layout, fit) for layout in layouts]
+            work = partial(run, row=row, ys=out[:, ig], crossed=crossed)
+            list(map(work, slices) if pool is None else pool.map(work, slices))
     return out
 
 
-def _read_seeds(x2d, phases, rows, col, noise, normals, w_real, buf, out,
-                readouts, layouts, params, fit, coupling_free, crossed=None):
-    """The body of :func:`_light_path` for the seeds of ``out``: realize,
-    fold, contract and gate every (row mask, layout) into ``out``, with
+def _read_seeds(x2d, phases, row, col, noise, normals, w_real, buf, ys,
+                readouts, layouts, params, fit, coupling_free, crossed):
+    """The body of :func:`_light_path` for one row mask and the seeds of
+    ``ys``, its (len(layouts), len(readouts), ..., p*r*k1, m) products:
+    realize, fold, contract and gate every layout into ``ys``, with
     ``w_real`` and ``buf`` the realization buffers of those seeds.
-    ``crossed[layout]``, when given (``rows`` then holds one row mask), is
-    the crosstalk pass of a mapping all seeds share."""
+    ``crossed[layout]``, when given, is the crosstalk pass of a shared
+    mapping."""
     *_, p, q, r, c, k1, k2 = phases.shape
-    lead, m = out.shape[3:-2], out.shape[-1]
+    lead, m = ys.shape[2:-2], ys.shape[-1]
     cores = w_real.shape[:-3]
+    row_p = row.reshape(row.shape[:-2] + (1, r * k1, 1))
+    dead_rows = ~row_p
     col_p = col.reshape(col.shape[:-3] + (1, q * c * k2))
     dead_cols = ~col_p
     col_gain = np.where(col_p, 1.0, leakage_transmission(params))
@@ -433,34 +426,31 @@ def _read_seeds(x2d, phases, rows, col, noise, normals, w_real, buf, out,
     modes = [mode for mode in ExecutionMode
              if any(each is mode for each, _ in readouts)]
     sds = {} if normals is None else {
-        mode: _detector_sd(rows[0], col, mode, params, lead + (p, q, r, c, k1))
+        mode: _detector_sd(row, col, mode, params, lead + (p, q, r, c, k1))
         for mode in modes}
-    for ig, row in enumerate(rows):
-        row_p = row.reshape(row.shape[:-2] + (1, r * k1, 1))
-        dead_rows = ~row_p
-        target = _target(phases, row, col) if crossed is None else None
-        for il, layout in enumerate(layouts):
-            _realize(w_real, buf, target, noise, row_p, col_p, layout, params,
-                     fit, coupling_free, None if crossed is None else crossed[il])
-            ys = out[il, ig]
-            for mode in modes:
-                # Rerouted light reads dead columns as 0 (boost k2/k2'
-                # times readout gain k2'/k2 is 1); a gated modulator scales
-                # them by its leakage tau.
-                if mode.redistributes:
-                    np.copyto(w_real, 0.0, where=dead_cols)
-                elif mode.gates_inputs:
-                    w_real *= col_gain
-                first, *rest = [i for i, (each, _) in enumerate(readouts) if each is mode]
-                np.matmul(w_real.reshape(cores + (p * r * k1, q * c * k2)), x2d,
-                          out=ys[first])
-                if mode in sds:
-                    ys[first] += sds[mode] * normals
-                ys[rest] = ys[first]
-            for y, (_, output_gating) in zip(ys, readouts):
-                if output_gating:
-                    np.copyto(y.reshape(lead + (p, r * k1, m)), 0.0,
-                              where=dead_rows)
+    target = _target(phases, row, col) if crossed is None else None
+    for il, layout in enumerate(layouts):
+        _realize(w_real, buf, target if crossed is None else crossed[il], noise,
+                 row_p, col_p, None if crossed or coupling_free else layout,
+                 params, fit)
+        for mode in modes:
+            # Rerouted light reads dead columns as 0 (boost k2/k2'
+            # times readout gain k2'/k2 is 1); a gated modulator scales
+            # them by its leakage tau.
+            if mode.redistributes:
+                np.copyto(w_real, 0.0, where=dead_cols)
+            elif mode.gates_inputs:
+                w_real *= col_gain
+            first, *rest = [i for i, (each, _) in enumerate(readouts) if each is mode]
+            np.matmul(w_real.reshape(cores + (p * r * k1, q * c * k2)), x2d,
+                      out=ys[il, first])
+            if mode in sds:
+                ys[il, first] += sds[mode] * normals
+            ys[il, rest] = ys[il, first]
+        for y, (_, output_gating) in zip(ys[il], readouts):
+            if output_gating:
+                np.copyto(y.reshape(lead + (p, r * k1, m)), 0.0,
+                          where=dead_rows)
 
 
 def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
@@ -479,6 +469,9 @@ def simulate_mvm_batch(x, w, row_mask, col_mask, mode: ExecutionMode,
     column) times k2'/k2 under redistribution, 0 on gated rows.
     """
     x, w, row, col, rng = _mvm_args(x, w, row_mask, col_mask, rng)
+    if x.ndim < 2 or x.shape[-2] != w.shape[-1]:
+        raise DeviceModelError(f"inputs {x.shape} must be (..., {w.shape[-1]}, n) "
+                               f"for weights {w.shape}")
     readouts = _readouts([(mode, output_gating)])
     cores = _batch_shape(x=x.shape[:-2], w=w.shape[:-2], row_mask=row.shape[:-1],
                          col_mask=col.shape[:-1])
@@ -516,10 +509,8 @@ def simulate_layer_readouts(x, w6, row_masks, col_mask, readouts, layouts,
     an identically seeded generator.  ``out``, a C-contiguous float64 array
     of that shape, receives the products when it is given.
 
-    ``threads`` workers (at most one per seed) split the leading seed axis
-    of ``x`` and ``col_mask`` after the draws, when the realized weights
-    carry it (a column mask per seed, or phase noise on); the products are
-    the same for every ``threads``.
+    The products do not depend on ``threads``, of which at most one worker
+    per seed runs (see :func:`_light_path`).
     """
     x, w6, row, col, rng = _mvm_args(x, w6, row_masks, col_mask, rng)
     readouts = _readouts(readouts)

@@ -279,9 +279,14 @@ def weight_scale(w) -> float:
 def _objective(row, weights6, arch: ArchConfig, device: DeviceParams,
                layout: LayoutParams, fit: GammaFit) -> ColumnPowerModel:
     """The prune/grow objective: the layer's full-gating power model (input
-    gating, light redistribution, output gating) on its scaled weights."""
-    w6 = np.asarray(weights6, dtype=float)
-    return ColumnPowerModel(row, w6 / weight_scale(w6), arch, device, layout, fit)
+    gating, light redistribution, output gating) on its weights over live
+    rows, scaled by their largest magnitude; the model prices no dead row."""
+    live = np.array(weights6, dtype=float)
+    if live.ndim != 6 or live.shape[2:5:2] != np.shape(row):
+        raise DeviceModelError(f"row mask {np.shape(row)} does not fit {live.shape}")
+    live *= np.asarray(row, dtype=bool)[None, None, :, None, :, None]
+    live /= weight_scale(live)
+    return ColumnPowerModel(row, live, arch, device, layout, fit)
 
 
 def mask_power(mask: SparsityMask, weights6, arch: ArchConfig,

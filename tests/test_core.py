@@ -377,6 +377,16 @@ def test_input_validation():
     with pytest.raises(DeviceModelError, match="column mask"):
         simulate_mvm(np.array([0.5, 0.5]), w, col_mask=np.ones(5, bool),
                      layout=LAY)
+    # A 0-d mask has no entries to count.
+    with pytest.raises(DeviceModelError, match="row mask must have 2 entries"):
+        simulate_mvm(np.array([0.5, 0.5]), w, row_mask=True, layout=LAY)
+    with pytest.raises(DeviceModelError, match="column mask must have 2 entries"):
+        simulate_mvm(np.array([0.5, 0.5]), w, col_mask=True, layout=LAY)
+    # The batch engine takes (..., k2, n) inputs: a bare vector, or one
+    # whose second-to-last axis is not k2, is rejected.
+    for x in (np.array([0.5, 0.5]), np.full((3, 4), 0.5), np.full((1, 2), 0.5)):
+        with pytest.raises(DeviceModelError, match=r"inputs \(.*\) must be"):
+            simulate_mvm_batch(x, w, ones, ones, ExecutionMode.PRUNE_ONLY, LAY)
 
 
 def test_batch_rejects_leading_dims_that_do_not_broadcast():
@@ -598,19 +608,19 @@ def test_threads_split_the_seeds_without_changing_a_product(n_seeds, seed_axis,
     # mode, output gating) product is the same bit for bit at 1, 2 and 3
     # threads, for seed counts that do not divide evenly, one seed, a
     # column mask shared by the seeds (one crosstalk pass) or one per seed,
-    # and phase noise on or off (detector noise on).
+    # phase noise on or off (detector noise on), and crosstalk on or off
+    # (coupling-free: no mapping is shared, each slice builds its target).
     w6, x, row, col = _layer_operands(75, n_seeds=n_seeds)
     if not seed_axis:
         col = col[:1]
     masks = np.stack([row, np.ones_like(row)])
     dev = DeviceParams(phase_noise_sigma_rad=phase_sigma)
-    one = simulate_layer_readouts(x, w6, masks, col, ALL_READOUTS, LAYOUTS,
-                                  dev, rng=derive_rng(76))
-    assert one.shape == (3, 2, 6, n_seeds, P * R * K1, 3)
-    for threads in (2, 3):
-        assert np.array_equal(one, simulate_layer_readouts(
+    for coupling_free in (False, True):
+        one, *many = [simulate_layer_readouts(
             x, w6, masks, col, ALL_READOUTS, LAYOUTS, dev, rng=derive_rng(76),
-            threads=threads))
+            coupling_free=coupling_free, threads=threads) for threads in (1, 2, 3)]
+        assert one.shape == (3, 2, 6, n_seeds, P * R * K1, 3)
+        assert all(np.array_equal(one, each) for each in many)
 
 
 def test_threads_write_disjoint_slices_under_contention():

@@ -32,6 +32,7 @@ from ptcsim.sparsity import (
     round_half_up,
     select_columns_min_power,
 )
+from ptcsim.training import DESK_ARCH
 
 DEV = DeviceParams()
 LAY = LayoutParams()
@@ -637,6 +638,36 @@ def test_prune_step_ignores_weights_on_dead_rows():
     assert np.flatnonzero(~out.col).tolist() == [0, 1, 2, 3]
     assert np.array_equal(out.col, ref.col)
     assert info == ref_info
+
+
+def test_prune_and_grow_ignore_weights_on_dead_rows():
+    # The objective prices live rows only, and so does its weight scale:
+    # dead-row weights of +-100 instead of 0 change no prune or grow pick
+    # and no modeled power, over 50 draws of the desk CNN's 8x32 layer.
+    sched = DstSchedule()
+    for draw in range(50):
+        rng = np.random.default_rng(draw)
+        w = rng.uniform(-1, 1, size=(8, 32))
+        mask = init_masks(0.3, 8, 32, DESK_ARCH, w, DEV, LAY)
+        dead = ~mask.row[None, None, :, None, :, None]
+        assert dead.any()
+        quiet = np.where(dead, 0.0, partition(w, DESK_ARCH))
+        loud = np.where(dead, rng.choice([-100.0, 100.0], size=quiet.shape), quiet)
+        pruned, info = prune_step(mask, quiet, sched, 0, DESK_ARCH, DEV, LAY)
+        g6 = rng.normal(size=quiet.shape)
+        grown, grown_info = grow_step(pruned, g6, quiet, 0.3, sched, DESK_ARCH,
+                                      DEV, LAY)
+        assert grown_info.n_changed > 0
+        loud_pruned, loud_info = prune_step(mask, loud, sched, 0, DESK_ARCH,
+                                            DEV, LAY)
+        assert np.array_equal(loud_pruned.col, pruned.col) and loud_info == info
+        loud_grown, loud_info = grow_step(pruned, g6, loud, 0.3, sched,
+                                          DESK_ARCH, DEV, LAY)
+        assert np.array_equal(loud_grown.col, grown.col) and loud_info == grown_info
+    # Weights whose rows are not the mask's are rejected, not broadcast.
+    for bad in (quiet[:, :, :1], quiet[0]):
+        with pytest.raises(DeviceModelError, match="does not fit"):
+            mask_power(mask, bad, DESK_ARCH, DEV, LAY)
 
 
 def test_prune_step_noop_after_schedule_end():

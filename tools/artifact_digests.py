@@ -7,8 +7,11 @@ Usage::
 Runs, through ``ptcsim.cli.main`` and each into its own directory under
 ``OUT_DIR`` (which must be new or empty):
 
-* ``report``, ``sweep`` and ``nmae --trials 10 --vectors 4``, the last
-  on two threads (``--threads 2``);
+* ``report`` and ``sweep``;
+* ``nmae --trials 10 --vectors 4`` twice, on two threads (``--threads
+  2``, into ``nmae``) and on one (``--threads 1``, into
+  ``nmae_threads_1``): a split of the seeds into two slices and the
+  one-slice case of the same split;
 * ``progressive`` at seeds 0-5;
 * ``train --dataset blobs --epochs 4`` with ``dst.lr`` 0.01 at seeds 1-3
   and densities 0.3 and 0.5;
@@ -20,8 +23,9 @@ Then prints one ``sha256  path`` line per file in ``OUT_DIR`` (the
 artifacts and the training config it writes), sorted by path.  The
 package is imported from this checkout's ``src``, so running the script
 in two checkouts and comparing the outputs with ``diff`` shows whether a
-change keeps every artifact byte-identical.  Command output goes to stderr.  Exits 1 if any command
-fails (the rest still run), 2 if ``OUT_DIR`` is not empty.
+change keeps every artifact byte-identical.  Command output goes to
+stderr.  Exits 1 if any command fails (the rest still run), 2 if
+``OUT_DIR`` is not empty.
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ def commands(root: Path, config: Path) -> list[list[str]]:
     runs = [["--out", str(root / "report"), "report"],
             ["--out", str(root / "sweep"), "sweep"],
             ["--out", str(root / "nmae"), "--threads", "2", "nmae", "--trials",
-             "10", "--vectors", "4"]]
+             "10", "--vectors", "4"],
+            ["--out", str(root / "nmae_threads_1"), "--threads", "1", "nmae",
+             "--trials", "10", "--vectors", "4"]]
     runs += [["--seed", str(seed), "--out", str(root / f"progressive_{seed}"),
               "progressive"] for seed in range(6)]
     for seed in (1, 2, 3):
