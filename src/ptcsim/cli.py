@@ -68,10 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="fmt", help="output file format (default: json)")
     parser.add_argument("--threads", type=count, default=1,
                         help="worker threads that split each seed block of "
-                             "nmae; outputs do not depend on it. Pair it "
-                             "with one BLAS thread (OPENBLAS_NUM_THREADS=1) "
-                             "so the two do not oversubscribe the cores "
-                             "(default: 1)")
+                             "nmae; from 2 on, train computes its weight "
+                             "gradients on one worker; evaluate, report, "
+                             "sweep and progressive ignore it. Outputs do "
+                             "not depend on it. Pair it with one BLAS thread "
+                             "(OPENBLAS_NUM_THREADS=1) so the two do not "
+                             "oversubscribe the cores (default: 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("validate",
@@ -238,7 +240,8 @@ def _cmd_train(args, cfg: Config, seed: int) -> int:
                    batch_size=dst.batch_size, seed=seed,
                    meta={"model_kind": "desk_convnet",
                          "quant": [DESK_ARCH.b_w, DESK_ARCH.b_in],
-                         "dataset": dataset})
+                         "dataset": dataset},
+                   threads=args.threads)
     out = _out_dir(args)
     save_checkpoint(out / "checkpoint.json", result, DESK_ARCH, schedule)
     write_csv(out / "metrics.csv",

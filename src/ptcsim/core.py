@@ -76,6 +76,15 @@ def derive_rng(root_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(root_seed), *map(int, path)]))
 
 
+def check_threads(threads) -> None:
+    """The one rule for a worker-thread count: an integer (not a bool) of
+    at least 1, else :class:`DeviceModelError`."""
+    if (isinstance(threads, bool) or not isinstance(threads, (int, np.integer))
+            or threads < 1):
+        raise DeviceModelError(
+            f"threads must be at least 1 and an integer, got {threads!r}")
+
+
 # ---------------------------------------------------------------------------
 # light rerouter
 # ---------------------------------------------------------------------------
@@ -526,10 +535,7 @@ def simulate_layer_readouts(x, w6, row_masks, col_mask, readouts, layouts,
     layouts = list(layouts) if np.iterable(layouts) else []
     if not layouts or not all(isinstance(lay, LayoutParams) for lay in layouts):
         raise DeviceModelError("layouts must be a non-empty sequence of LayoutParams")
-    if (isinstance(threads, bool) or not isinstance(threads, (int, np.integer))
-            or threads < 1):
-        raise DeviceModelError(
-            f"threads must be an integer of at least 1, got {threads!r}")
+    check_threads(threads)
     lead = _batch_shape(x=x.shape[:-4], col_mask=col.shape[:-4])
     shape = (len(layouts), len(row), len(readouts)) + lead + (p * r * k1, x.shape[-1])
     if out is not None and not (isinstance(out, np.ndarray) and out.shape == shape

@@ -18,6 +18,7 @@ Layers accept any memory order and give the same values for each.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,10 @@ def col2im(cols: np.ndarray, x_shape: tuple, k: int, pad: int) -> np.ndarray:
     return dx.transpose(3, 0, 1, 2)
 
 
+def _now(job) -> None:
+    job()
+
+
 @dataclass
 class Param:
     name: str
@@ -128,6 +133,10 @@ class _MatmulLayer(Layer):
     product through the hardware simulator at evaluation time; ``None``
     means exact arithmetic.  Gradients always use exact arithmetic with the
     quantized operands (straight-through).
+
+    ``backward`` hands its weight-gradient products (``dw``, ``db``), as
+    one job, to ``defer``, which by default runs it at once (see
+    :meth:`Sequential.backward`).
     """
 
     name: str
@@ -214,12 +223,16 @@ class Conv2d(_MatmulLayer):
             self._cache = (x.shape, x2d, wq)
         return y2d.reshape(self.c_out, h_out, w_out, n).transpose(3, 0, 1, 2)
 
-    def backward(self, grad, input_grad: bool = True):
+    def backward(self, grad, input_grad: bool = True, defer=_now):
         x_shape, x2d, wq = self._saved()
         n = x_shape[0]
         g2d = grad.transpose(1, 2, 3, 0).reshape(self.c_out, -1)
-        self.dw[...] = g2d @ x2d.T
-        self.db[...] = g2d.sum(axis=1)
+
+        def job():
+            self.dw[...] = g2d @ x2d.T
+            self.db[...] = g2d.sum(axis=1)
+
+        defer(job)
         if not input_grad:
             return None
         dcols = (wq.T @ g2d).reshape(wq.shape[1], -1, n)
@@ -254,10 +267,14 @@ class Linear(_MatmulLayer):
             self._cache = (x2d, wq)
         return y
 
-    def backward(self, grad, input_grad: bool = True):
+    def backward(self, grad, input_grad: bool = True, defer=_now):
         x2d, wq = self._saved()
-        self.dw[...] = grad.T @ x2d.T
-        self.db[...] = grad.sum(axis=0)
+
+        def job():
+            self.dw[...] = grad.T @ x2d.T
+            self.db[...] = grad.sum(axis=0)
+
+        defer(job)
         return (wq.T @ grad.T).T if input_grad else None
 
 
@@ -322,11 +339,34 @@ class Sequential:
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, grad) -> None:
+    def backward(self, grad, pool: Executor | None = None) -> None:
         """Fill every parameter gradient from d loss / d output.  Nothing
-        reads the model input's gradient, so the first layer skips it."""
-        for i in range(len(self.layers) - 1, -1, -1):
-            grad = self.layers[i].backward(grad, input_grad=i > 0)
+        reads the model input's gradient, so the first layer skips it.
+
+        With ``pool``, each conv/linear layer but the first (which has no
+        input gradient to overlap with) submits its weight-gradient
+        products, ``dw`` and ``db``, to it, and the calling thread goes on
+        down the input-gradient chain (``q(W).T @ g``, ``col2im``, ReLU,
+        pooling).  All jobs are waited for, and the first error in one is
+        raised, before this returns.  A job reads only its layer's output
+        gradient and the input cached by forward, which nothing writes
+        before the next forward, and writes only ``dw`` and ``db``, which
+        nothing reads before this returns.  The products and operands are
+        the same, so the gradients equal the serial call's bit for bit.
+        """
+        jobs = []
+        defer = _now if pool is None else (lambda job: jobs.append(pool.submit(job)))
+        try:
+            for i in range(len(self.layers) - 1, -1, -1):
+                layer = self.layers[i]
+                if i > 0 and isinstance(layer, _MatmulLayer):
+                    grad = layer.backward(grad, defer=defer)
+                else:
+                    grad = layer.backward(grad, input_grad=i > 0)
+        finally:
+            wait(jobs)
+        for job in jobs:
+            job.result()
 
     def params(self) -> list[Param]:
         out: list[Param] = []

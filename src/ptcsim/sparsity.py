@@ -111,13 +111,14 @@ def padded_column_mask(fan_in: int, q: int, arch: ArchConfig) -> np.ndarray:
     return idx >= fan_in
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparsityMask:
     """Row mask shared by all chunks plus per-chunk column masks.
 
     ``row`` is (r, k1); ``col`` is (p, q, c, k2); ``padded_col`` is
     (q, c, k2) and marks structurally-dead input positions (zero padding)
-    which must stay pruned forever.
+    which must stay pruned forever.  Two masks are equal when all three
+    arrays have the same shapes and entries; masks are not hashable.
     """
 
     row: np.ndarray
@@ -141,6 +142,13 @@ class SparsityMask:
         for name, arr in (("row", row), ("col", col), ("padded_col", pad)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, SparsityMask):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in
+                   ((self.row, other.row), (self.col, other.col),
+                    (self.padded_col, other.padded_col)))
 
     @property
     def shape6(self) -> tuple[int, int, int, int, int, int]:

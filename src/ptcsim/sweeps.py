@@ -20,7 +20,7 @@ import numpy as np
 from .arch import ArchConfig, ColumnPowerModel, area, pap, power
 from .config import Config, ConfigError, apply_overrides
 # simulate_mvm_batch: bound for bench/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
-from .core import (ExecutionMode, derive_rng, ideal_mvm, nmae,
+from .core import (ExecutionMode, check_threads, derive_rng, ideal_mvm, nmae,
                    simulate_layer_readouts, simulate_mvm, simulate_mvm_batch)
 from .devices import DeviceParams, GammaFit
 from .layout import LayoutParams
@@ -357,8 +357,7 @@ def run_nmae_study(cfg: Config, seed: int, n_seeds: int = 1000,
         raise ValueError(f"the study needs at least 1 vector (--vectors), got {n_vectors}")
     if block_size < 1:
         raise ValueError(f"block_size must be at least 1, got {block_size}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    check_threads(threads)
     if len(l_g_values) == 0:
         raise ValueError("l_g_values must name at least one gap")
     arch, device = cfg.arch, cfg.device

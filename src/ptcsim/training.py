@@ -18,6 +18,8 @@ a deployment would protect the classifier head.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,7 +27,8 @@ import numpy as np
 
 from .arch import ArchConfig, energy
 # simulate_mvm_batch: bound for bench/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
-from .core import ExecutionMode, derive_rng, nmae, simulate_layer, simulate_mvm_batch
+from .core import (ExecutionMode, check_threads, derive_rng, nmae, simulate_layer,
+                   simulate_mvm_batch)
 from .devices import DeviceModelError, DeviceParams, GammaFit
 from .layout import LayoutParams
 from .nn import (
@@ -187,7 +190,7 @@ def train(model: Sequential, sparse_layers: list[int], data: tuple,
           device: DeviceParams, layout: LayoutParams,
           fit: GammaFit = GammaFit(), epochs: int = 40, lr: float = 2e-3,
           batch_size: int = 64, seed: int = 0,
-          meta: dict | None = None) -> TrainResult:
+          meta: dict | None = None, threads: int = 1) -> TrainResult:
     """Quantization-aware dynamic sparse training (density target ``s``).
 
     ``data`` is (x_train, y_train, x_test, y_test).  Masks update after
@@ -195,7 +198,13 @@ def train(model: Sequential, sparse_layers: list[int], data: tuple,
     are full and there is nothing to explore, so training reduces to
     fixed-row-mask quantization-aware training.  Aborts with a diagnostic
     if the loss stops being finite.
+
+    With ``threads`` >= 2, one worker thread computes the weight gradients
+    while the calling thread runs the input-gradient chain
+    (:meth:`Sequential.backward`); one chain of weight products has no
+    more parallelism in it.  The result does not depend on ``threads``.
     """
+    check_threads(threads)
     x_train, y_train, x_test, y_test = data
     masks: dict[int, SparsityMask] = {}
     dense_m: dict[int, np.ndarray] = {}
@@ -212,51 +221,53 @@ def train(model: Sequential, sparse_layers: list[int], data: tuple,
     opt = Adam(model.params(), lr=lr)
     history: list[dict] = []
     n = len(x_train)
-    for t in range(epochs):
-        perm = derive_rng(seed, 100, t).permutation(n)
-        grad_acc = {idx: np.zeros_like(model.layers[idx].w)
-                    for idx in sparse_layers}
-        loss_sum, n_batches = 0.0, 0
-        for start in range(0, n, batch_size):
-            batch = perm[start:start + batch_size]
-            logits = model.forward(x_train[batch], train=True)
-            loss, dlogits = softmax_cross_entropy(logits, y_train[batch])
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"training diverged at epoch {t} (loss={loss}); "
-                    "lower the learning rate or check the data scaling")
-            model.backward(dlogits)
-            for idx in sparse_layers:
-                grad_acc[idx] += model.layers[idx].dw
-                model.layers[idx].dw *= dense_m[idx]
-            opt.step()
-            for idx in sparse_layers:
-                model.layers[idx].w *= dense_m[idx]
-            loss_sum += loss
-            n_batches += 1
+    with (ThreadPoolExecutor(max_workers=1) if threads > 1
+          else nullcontext()) as pool:
+        for t in range(epochs):
+            perm = derive_rng(seed, 100, t).permutation(n)
+            grad_acc = {idx: np.zeros_like(model.layers[idx].w)
+                        for idx in sparse_layers}
+            loss_sum, n_batches = 0.0, 0
+            for start in range(0, n, batch_size):
+                batch = perm[start:start + batch_size]
+                logits = model.forward(x_train[batch], train=True)
+                loss, dlogits = softmax_cross_entropy(logits, y_train[batch])
+                if not np.isfinite(loss):
+                    raise RuntimeError(
+                        f"training diverged at epoch {t} (loss={loss}); "
+                        "lower the learning rate or check the data scaling")
+                model.backward(dlogits, pool)
+                for idx in sparse_layers:
+                    grad_acc[idx] += model.layers[idx].dw
+                    model.layers[idx].dw *= dense_m[idx]
+                opt.step()
+                for idx in sparse_layers:
+                    model.layers[idx].w *= dense_m[idx]
+                loss_sum += loss
+                n_batches += 1
 
-        if t < schedule.t_end:
-            for idx in sparse_layers:
-                if not explore[idx]:
-                    continue
-                layer = model.layers[idx]
-                w6 = partition(layer.w, arch)
-                g6 = partition(grad_acc[idx] / n_batches, arch)
-                pruned, _ = prune_step(masks[idx], w6, schedule, t, arch,
-                                       device, layout, fit)
-                grown, _ = grow_step(pruned, g6, w6, s, schedule, arch,
-                                     device, layout, fit)
-                masks[idx] = grown
-                dense_m[idx] = grown.to_dense(*layer.w.shape)
-                layer.w *= dense_m[idx]
+            if t < schedule.t_end:
+                for idx in sparse_layers:
+                    if not explore[idx]:
+                        continue
+                    layer = model.layers[idx]
+                    w6 = partition(layer.w, arch)
+                    g6 = partition(grad_acc[idx] / n_batches, arch)
+                    pruned, _ = prune_step(masks[idx], w6, schedule, t, arch,
+                                           device, layout, fit)
+                    grown, _ = grow_step(pruned, g6, w6, s, schedule, arch,
+                                         device, layout, fit)
+                    masks[idx] = grown
+                    dense_m[idx] = grown.to_dense(*layer.w.shape)
+                    layer.w *= dense_m[idx]
 
-        acc = evaluate_accuracy(model, x_test, y_test)
-        density = (float(np.mean([m.density() for m in masks.values()]))
-                   if masks else 1.0)
-        p_avg = model_power_w(model, masks, arch, device, layout, fit, x_test)
-        history.append({"epoch": t, "loss": loss_sum / n_batches,
-                        "accuracy": acc, "density": density,
-                        "power_w": p_avg})
+            acc = evaluate_accuracy(model, x_test, y_test)
+            density = (float(np.mean([m.density() for m in masks.values()]))
+                       if masks else 1.0)
+            p_avg = model_power_w(model, masks, arch, device, layout, fit, x_test)
+            history.append({"epoch": t, "loss": loss_sum / n_batches,
+                            "accuracy": acc, "density": density,
+                            "power_w": p_avg})
 
     return TrainResult(model, list(sparse_layers), masks, history,
                        dict(meta or {}, density_target=s, seed=seed,

@@ -1,5 +1,8 @@
 """Exactness checks for the numpy NN stack: quant, conv, gradients, Adam."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -495,6 +498,77 @@ def test_desk_cnn_step_matches_the_nchw_reference():
         dw, db = ref_grads[layer.name]
         np.testing.assert_allclose(layer.dw, dw, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(layer.db, db, rtol=1e-12, atol=1e-12)
+
+
+def _spy_backward(model) -> list:
+    """Record every layer's returned input gradient, in call order."""
+    seen = []
+    for layer in model.layers:
+        def spy(*args, _backward=layer.backward, **kwargs):
+            seen.append(_backward(*args, **kwargs))
+            return seen[-1]
+        layer.backward = spy
+    return seen
+
+
+def _desk_step():
+    model, _ = build_desk_convnet(derive_rng(0, 10))
+    x = np.random.default_rng(45).uniform(0, 1, size=(7, 1, 8, 8))
+    return model, x, np.arange(7) % 10
+
+
+def _mlp_step():
+    model, _ = build_toy_mlp(derive_rng(1), 12, 16, 3)
+    x = np.random.default_rng(46).normal(size=(9, 12))
+    return model, x, np.arange(9) % 3
+
+
+@pytest.mark.parametrize("make", [_desk_step, _mlp_step])
+def test_split_backward_matches_the_serial_call(make):
+    model, x, labels = make()
+    _, g = softmax_cross_entropy(model.forward(x, train=True), labels)
+    seen = _spy_backward(model)
+    model.backward(g)
+    layers = model.matmul_layers()
+    serial = [(l.dw.copy(), l.db.copy()) for l in layers]
+    serial_grads = list(seen)
+    assert serial_grads[-1] is None and len(serial_grads) == len(model.layers)
+    # One worker, as train uses, and more workers than cores, jobs then
+    # running side by side, with thread switches forced often.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 4, 1, 4):
+            seen.clear()
+            for layer in layers:
+                layer.dw[...] = np.nan
+                layer.db[...] = np.nan
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                model.backward(g, pool)
+            for layer, (dw, db) in zip(layers, serial):
+                assert np.array_equal(layer.dw, dw), (workers, layer.name)
+                assert np.array_equal(layer.db, db), (workers, layer.name)
+            assert len(seen) == len(serial_grads) and seen[-1] is None
+            for got, want in zip(seen[:-1], serial_grads[:-1]):
+                assert np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_split_backward_raises_an_error_from_a_deferred_job():
+    model, x, labels = _desk_step()
+    _, g = softmax_cross_entropy(model.forward(x, train=True), labels)
+    model.backward(g)
+    conv3 = model.layers[5]
+    want = conv3.dw.copy()
+    conv3.dw[...] = np.nan
+    fc = model.layers[-1]
+    fc.dw = np.zeros((1, 3))          # the fc job cannot broadcast into it
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        with pytest.raises(ValueError, match="broadcast"):
+            model.backward(g, pool)
+    # the raise waited for the jobs after the failing one
+    assert np.array_equal(conv3.dw, want)
 
 
 # ---------------------------------------------------------------------------

@@ -552,6 +552,24 @@ def test_init_masks_row_floor_and_split():
     assert abs(mask.density() - 0.3) <= granule / 2 + 1e-12
 
 
+def test_masks_compare_by_value():
+    w = np.random.default_rng(3).uniform(-1, 1, size=(8, 32))
+    a = init_masks(0.3, 8, 32, DESK_ARCH, w, DEV, LAY)
+    b = init_masks(0.3, 8, 32, DESK_ARCH, w, DEV, LAY)
+    assert a is not b and a == b and not a != b
+    col = a.col.copy()
+    flip = tuple(np.argwhere(a.usable)[0])
+    col[flip] = ~col[flip]
+    flipped = SparsityMask(a.row, col, a.padded_col)
+    assert flipped != a and not flipped == a
+    # another shape is unequal, not a broadcast
+    wide = init_masks(0.3, 8, 64, DESK_ARCH, np.zeros((8, 64)), DEV, LAY)
+    assert wide != a
+    assert a != "mask"
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_init_masks_selection_is_power_minimal():
     arch = ArchConfig(R=2, C=2, k1=2, k2=4, r=1, c=1)
     rng = np.random.default_rng(7)

@@ -98,14 +98,14 @@ def test_photonic_backend_rejects_foreign_mask():
 # training loop
 # ---------------------------------------------------------------------------
 
-def _run_toy(s: float, epochs: int = 4) -> TrainResult:
+def _run_toy(s: float, epochs: int = 4, threads: int = 1) -> TrainResult:
     model, sparse = _toy_model()
     return train(model, sparse, _toy_data(), s,
                  DstSchedule.for_epochs(epochs), DESK_ARCH, QUIET, LAY,
                  epochs=epochs, lr=2e-3, batch_size=32, seed=0,
                  meta={"model_kind": "toy_mlp",
                        "model_args": {"d_in": 12, "hidden": 16, "classes": 3},
-                       "quant": [8, 6]})
+                       "quant": [8, 6]}, threads=threads)
 
 
 def test_train_history_and_mask_invariants():
@@ -139,6 +139,22 @@ def test_train_is_deterministic():
     assert a.history == b.history
     assert np.array_equal(a.model.layers[2].w, b.model.layers[2].w)
     assert np.array_equal(a.masks[2].col, b.masks[2].col)
+
+
+def test_train_threads_leave_the_result_unchanged():
+    one = _run_toy(0.4, epochs=3)
+    for threads in (2, 3):
+        got = _run_toy(0.4, epochs=3, threads=threads)
+        assert got.history == one.history
+        assert got.masks == one.masks
+        for a, b in zip(got.model.matmul_layers(), one.model.matmul_layers()):
+            assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5, True])
+def test_train_rejects_a_bad_thread_count(threads):
+    with pytest.raises(DeviceModelError, match="threads must be at least 1"):
+        _run_toy(0.4, epochs=2, threads=threads)
 
 
 def test_train_aborts_on_divergence():

@@ -14,7 +14,10 @@ Runs, through ``ptcsim.cli.main`` and each into its own directory under
   one-slice case of the same split;
 * ``progressive`` at seeds 0-5;
 * ``train --dataset blobs --epochs 4`` with ``dst.lr`` 0.01 at seeds 1-3
-  and densities 0.3 and 0.5;
+  and densities 0.3 and 0.5, and once more at seed 1 and density 0.3
+  with ``--threads 2`` (into ``train_threads_2``): its weight gradients
+  computed on a worker thread, so its ``checkpoint.json`` and
+  ``metrics.csv`` must carry ``train_1_0.3``'s digests;
 * ``evaluate --trials 2`` on the seed-1, density-0.3 checkpoint, and
   ``evaluate --mode prune_only --no-output-gating --trials 2`` on the
   seed-1, density-0.5 one.
@@ -58,6 +61,9 @@ def commands(root: Path, config: Path) -> list[list[str]]:
                          "--out", str(root / f"train_{seed}_{density}"),
                          "train", "--dataset", "blobs", "--epochs", "4",
                          "--density", density])
+    runs.append(["--seed", "1", "--config", str(config), "--out",
+                 str(root / "train_threads_2"), "--threads", "2", "train",
+                 "--dataset", "blobs", "--epochs", "4", "--density", "0.3"])
     runs.append(["--seed", "1", "--out", str(root / "evaluate"), "evaluate",
                  "--checkpoint", str(root / "train_1_0.3" / "checkpoint.json"),
                  "--trials", "2"])
