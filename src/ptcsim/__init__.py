@@ -21,7 +21,7 @@ from .devices import (
     phase_to_weight,
     weight_to_phase,
 )
-from .layout import LayoutParams, aggressor_distances, coupling_matrices, perturbed_phases
+from .layout import LayoutParams, coupling_matrices, perturbed_phases
 from .core import (
     ExecutionMode,
     RerouterState,
@@ -78,7 +78,6 @@ __all__ = [
     "SparsityMask",
     "SweepSpec",
     "adc_power",
-    "aggressor_distances",
     "apply_overrides",
     "area",
     "chunk_power",

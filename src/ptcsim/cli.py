@@ -69,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=count, default=1,
                         help="worker threads that split each seed block of "
                              "nmae; from 2 on, train computes its weight "
-                             "gradients on one worker; evaluate, report, "
-                             "sweep and progressive ignore it. Outputs do "
+                             "gradients on one worker and evaluate draws its "
+                             "detector noise and scores its N-MAE on one; "
+                             "report, sweep and progressive ignore it. Outputs do "
                              "not depend on it. Pair it with one BLAS thread "
                              "(OPENBLAS_NUM_THREADS=1) so the two do not "
                              "oversubscribe the cores (default: 1)")
@@ -263,7 +264,8 @@ def _cmd_evaluate(args, cfg: Config, seed: int) -> int:
     res = evaluate_with_variation(
         model, masks, arch, cfg.device, cfg.layout, GammaFit(),
         mode=ExecutionMode.parse(args.mode), n_trials=args.trials, seed=seed,
-        x=x_test, y=y_test, output_gating=not args.no_output_gating)
+        x=x_test, y=y_test, output_gating=not args.no_output_gating,
+        threads=args.threads)
     write_json(_out_dir(args) / "evaluate.json", res)
     print(f"clean accuracy  = {res['clean_accuracy']:.4f}")
     std = res["noisy_accuracy_std"]

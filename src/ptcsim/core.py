@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -334,7 +334,7 @@ def _detector_sd(row, col, mode, params, shape):
 
 
 def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
-                coupling_free, threads=1, out=None):
+                coupling_free, threads=1, out=None, pool=None):
     """Noisy products of a batch of mapped layers: the one light path of
     :func:`simulate_mvm_batch` and :func:`simulate_layer_readouts`.
 
@@ -361,6 +361,13 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     slice by slice straight into the buffer.  Each seed's arithmetic is
     the same in every slice, so the products do not depend on ``threads``.
 
+    With ``pool`` (an executor) and n = 1, the detector normals are drawn
+    on it, into an array allocated here, while this thread realizes and
+    contracts; it waits for them just before the first noise add.  They
+    come from ``rng`` after the phase noise, as inline, and nothing else
+    reads ``rng`` before the wait, so the stream and the products are the
+    same.  The draw is waited for before this returns, also on an error.
+
     Precision: under phase noise (sigma 1e-2 rad by default, far above
     float32's 6e-8) the crosstalk, the noise add and the sine run in
     float32; the target phases, the folds, the contraction and the
@@ -370,15 +377,22 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     *_, p, q, r, c, k1, k2 = w.shape
     m = x2d.shape[-1]
     noise = _phase_noise(lead + w.shape[-6:], params, rng)
-    normals = (rng.standard_normal(lead + (p * r * k1, m))
-               if params.pd_noise_sigma > 0 else None)
-    phases = weight_to_phase(w)
-    if noise is not None:
-        phases = phases.astype(np.float32)
     # Under phase noise each core of the lead is realized on its own, so
     # several of them can read one mapping (row, weight and column leads).
     mapped = np.broadcast_shapes(rows.shape[1:-2], w.shape[:-6], col.shape[:-4])
     cores = lead if noise is not None else mapped
+    n = min(threads, cores[0]) if len(cores) == len(lead) > 0 else 1
+    normals = drawn = None
+    if params.pd_noise_sigma > 0:
+        normals = np.empty(lead + (p * r * k1, m))
+        draw = partial(rng.standard_normal, out=normals)
+        if pool is None or n > 1:
+            draw()
+        else:
+            drawn = pool.submit(draw)
+    phases = weight_to_phase(w)
+    if noise is not None:
+        phases = phases.astype(np.float32)
     shared = not coupling_free and mapped != cores
     # One buffer serves every realization.
     w_real = np.empty(cores + (p, r * k1, q * c * k2))
@@ -386,7 +400,6 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     if out is None:
         out = np.empty((len(layouts), len(rows), len(readouts)) + lead
                        + (p * r * k1, m))
-    n = min(threads, cores[0]) if len(cores) == len(lead) > 0 else 1
     slices = ([slice(cores[0] * i // n, cores[0] * (i + 1) // n) for i in range(n)]
               if n > 1 else [slice(None)])
 
@@ -401,27 +414,33 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
         _read_seeds(cut(x2d, 2), cut(phases, 6), cut(row, 2), cut(col, 4),
                     cut(noise, 6), cut(normals, 2), cut(w_real, 3), cut(buf, 3),
                     cut(ys, 2, 2), readouts, layouts, params, fit,
-                    coupling_free, crossed and [cut(a, 6) for a in crossed])
+                    coupling_free, crossed and [cut(a, 6) for a in crossed],
+                    drawn)
 
-    with ThreadPoolExecutor(max_workers=n) if n > 1 else nullcontext() as pool:
-        for ig, row in enumerate(rows):
-            crossed = None
-            if shared:
-                target = _target(phases, row, col)
-                crossed = [perturbed_phases(target, layout, fit) for layout in layouts]
-            work = partial(run, row=row, ys=out[:, ig], crossed=crossed)
-            list(map(work, slices) if pool is None else pool.map(work, slices))
+    try:
+        with ThreadPoolExecutor(max_workers=n) if n > 1 else nullcontext() as workers:
+            for ig, row in enumerate(rows):
+                crossed = None
+                if shared:
+                    target = _target(phases, row, col)
+                    crossed = [perturbed_phases(target, layout, fit)
+                               for layout in layouts]
+                work = partial(run, row=row, ys=out[:, ig], crossed=crossed)
+                list(map(work, slices) if workers is None else workers.map(work, slices))
+    finally:
+        if drawn is not None:
+            wait([drawn])
     return out
 
 
 def _read_seeds(x2d, phases, row, col, noise, normals, w_real, buf, ys,
-                readouts, layouts, params, fit, coupling_free, crossed):
+                readouts, layouts, params, fit, coupling_free, crossed, drawn):
     """The body of :func:`_light_path` for one row mask and the seeds of
     ``ys``, its (len(layouts), len(readouts), ..., p*r*k1, m) products:
     realize, fold, contract and gate every layout into ``ys``, with
     ``w_real`` and ``buf`` the realization buffers of those seeds.
     ``crossed[layout]``, when given, is the crosstalk pass of a shared
-    mapping."""
+    mapping.  ``drawn``, when given, is the job filling ``normals``."""
     *_, p, q, r, c, k1, k2 = phases.shape
     lead, m = ys.shape[2:-2], ys.shape[-1]
     cores = w_real.shape[:-3]
@@ -454,6 +473,8 @@ def _read_seeds(x2d, phases, row, col, noise, normals, w_real, buf, ys,
             np.matmul(w_real.reshape(cores + (p * r * k1, q * c * k2)), x2d,
                       out=ys[il, first])
             if mode in sds:
+                if drawn is not None:
+                    drawn.result()
                 ys[il, first] += sds[mode] * normals
             ys[il, rest] = ys[il, first]
         for y, (_, output_gating) in zip(ys[il], readouts):
@@ -496,7 +517,8 @@ def simulate_layer_readouts(x, w6, row_masks, col_mask, readouts, layouts,
                             fit: GammaFit = GammaFit(),
                             rng: np.random.Generator | int | None = 0,
                             coupling_free: bool = False, threads: int = 1,
-                            out: np.ndarray | None = None) -> np.ndarray:
+                            out: np.ndarray | None = None,
+                            pool: Executor | None = None) -> np.ndarray:
     """One mapped layer's noisy products under several layouts, row masks
     and readouts, sharing every noise draw.
 
@@ -519,7 +541,9 @@ def simulate_layer_readouts(x, w6, row_masks, col_mask, readouts, layouts,
     of that shape, receives the products when it is given.
 
     The products do not depend on ``threads``, of which at most one worker
-    per seed runs (see :func:`_light_path`).
+    per seed runs, nor on ``pool``, an executor that draws the detector
+    normals of a call that does not split its seeds (see
+    :func:`_light_path`).
     """
     x, w6, row, col, rng = _mvm_args(x, w6, row_masks, col_mask, rng)
     readouts = _readouts(readouts)
@@ -545,7 +569,7 @@ def simulate_layer_readouts(x, w6, row_masks, col_mask, readouts, layouts,
                                f"array of shape {shape}")
     return _light_path(x.reshape(x.shape[:-4] + (q * c * k2, x.shape[-1])), w6,
                        row, col, readouts, layouts, lead, params, fit, rng,
-                       coupling_free, threads, out)
+                       coupling_free, threads, out, pool)
 
 
 def simulate_layer(x, w6, row_mask, col_mask, mode: ExecutionMode,
@@ -554,14 +578,16 @@ def simulate_layer(x, w6, row_mask, col_mask, mode: ExecutionMode,
                    fit: GammaFit = GammaFit(),
                    rng: np.random.Generator | int | None = 0,
                    output_gating: bool = True,
-                   coupling_free: bool = False) -> np.ndarray:
+                   coupling_free: bool = False,
+                   pool: Executor | None = None) -> np.ndarray:
     """One mapped layer's noisy product (..., p*r*k1, m), every chunk and
     core in one pass: the [0, 0, 0] slice of
-    :func:`simulate_layer_readouts` with one layout, row mask and readout.
-    ``row_mask`` is (r, k1)."""
+    :func:`simulate_layer_readouts` with one layout, row mask and readout
+    (and ``pool``).  ``row_mask`` is (r, k1)."""
     return simulate_layer_readouts(x, w6, np.asarray(row_mask)[None], col_mask,
                                    [(mode, output_gating)], [layout], params,
-                                   fit, rng, coupling_free)[0, 0, 0]
+                                   fit, rng, coupling_free,
+                                   pool=pool)[0, 0, 0]
 
 
 def simulate_mvm(x, w, row_mask=None, col_mask=None,

@@ -66,31 +66,6 @@ class LayoutParams:
         return self.l_s_um + self.ps_width_um + self.l_g_um
 
 
-def aggressor_distances(victim: int, aggressor: int, sign_aggressor: float,
-                        layout: LayoutParams, k2: int) -> tuple[float, float]:
-    """Distances (um) from an aggressor's heated arm to a victim's two arms.
-
-    MZIs are indexed flat as ``column * k2 + row`` (column = output channel,
-    row = input channel).  Returns ``(d_up, d_lo)``: distance to the
-    victim's upper and lower arm.  The aggressor heats its upper arm when
-    its phase is >= 0, its lower arm otherwise; the lower arm of any MZI is
-    offset +l_s along the horizontal axis from its upper arm.
-    """
-    if victim == aggressor:
-        raise DeviceModelError("an MZI is not its own aggressor")
-    dr = (aggressor % k2) - (victim % k2)
-    dc = (aggressor // k2) - (victim // k2)
-    vert = dr * layout.l_v_um
-    horiz = dc * layout.l_h_um
-    if sign_aggressor >= 0:
-        d_up = math.hypot(vert, horiz)
-        d_lo = math.hypot(vert, horiz + layout.l_s_um)
-    else:
-        d_up = math.hypot(vert, horiz - layout.l_s_um)
-        d_lo = math.hypot(vert, horiz)
-    return d_up, d_lo
-
-
 def _offset_couplings(d_rows, d_cols, layout: LayoutParams, fit: GammaFit):
     """(g_pos, g_neg) for aggressors ``d_rows`` rows and ``d_cols`` columns
     from the victim: gamma(d_up) - gamma(d_lo) for a non-negative and a

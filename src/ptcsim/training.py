@@ -18,16 +18,17 @@ a deployment would protect the classifier head.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .arch import ArchConfig, energy
 # simulate_mvm_batch: bound for bench/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
-from .core import (ExecutionMode, check_threads, derive_rng, nmae, simulate_layer,
+from .core import (ExecutionMode, check_threads, derive_rng, simulate_layer,
                    simulate_mvm_batch)
 from .devices import DeviceModelError, DeviceParams, GammaFit
 from .layout import LayoutParams
@@ -82,19 +83,35 @@ class PhotonicBackend:
     Weights are normalized per tensor to [-1, 1] and activations to [0, 1]
     (both rescaled back after detection), partitioned into (r*k1) x (c*k2)
     chunks and run as one :func:`~ptcsim.core.simulate_layer` call.  Each
-    call appends the product's N-MAE against the exact masked reference to
-    ``nmae_log``.
+    call scores the product's N-MAE against the exact masked reference
+    (unless that reference is all zero); ``nmae_log`` lists the scores in
+    call order.
 
     The normalized, zero-padded input is written into ``workspace`` (a
     :class:`Workspace` that backends may share, or by default one of the
     backend's own); the caller's ``x2d`` is never written.
+
+    With ``pool`` (an executor, as :func:`evaluate_with_variation` opens
+    one), the work the light path does not need at once runs on it, as
+    three jobs per call in this order: the exact reference product,
+    submitted before the light path so that it reads ``x2d`` while the
+    layer still holds it; the light path's detector normals (see
+    :func:`~ptcsim.core.simulate_layer`); and, after the light path, the
+    N-MAE against the reference.  The N-MAE job reads the product, so the
+    product comes back read-only, and the caller must not write ``x2d``
+    before reading ``nmae_log``, which waits for the jobs and raises the
+    first error of one.  The generator draws the same numbers in the same
+    order, and the scoring runs the same operations on the same operands,
+    so neither the products nor the log depend on ``pool``.  Without one,
+    everything runs inline.
     """
 
     def __init__(self, mask: SparsityMask, arch: ArchConfig,
                  device: DeviceParams, layout: LayoutParams, fit: GammaFit,
                  mode: ExecutionMode, rng: np.random.Generator,
                  output_gating: bool = True, coupling_free: bool = False,
-                 workspace: Workspace | None = None):
+                 workspace: Workspace | None = None,
+                 pool: Executor | None = None):
         self.mask = mask
         self.arch = arch
         self.device = device
@@ -105,7 +122,22 @@ class PhotonicBackend:
         self.output_gating = output_gating
         self.coupling_free = coupling_free
         self.workspace = Workspace() if workspace is None else workspace
-        self.nmae_log: list[float] = []
+        self.pool = pool
+        self._log: list[float] = []
+        self._scoring: list[Future] = []
+
+    @property
+    def nmae_log(self) -> list[float]:
+        """The N-MAE of each call whose reference is not all zero, in call
+        order, once every scoring job submitted so far has finished."""
+        while self._scoring:
+            self._append(self._scoring[0].result())
+            del self._scoring[0]
+        return self._log
+
+    def _append(self, score: float | None) -> None:
+        if score is not None:
+            self._log.append(score)
 
     def __call__(self, w2d: np.ndarray, x2d: np.ndarray) -> np.ndarray:
         arch = self.arch
@@ -121,16 +153,44 @@ class PhotonicBackend:
         xp = self.workspace.take(padded * m).reshape(padded, m)
         np.divide(x, x_scale, out=xp[:fan_in])
         xp[fan_in:] = 0.0
+        # The exact reference is submitted first, so that it has read x
+        # before the layer's forward lets go of it; its N-MAE follows the
+        # light path.
+        ref = np.empty((c_out, m))
+        reference = partial(np.matmul, w * self.mask.to_dense(c_out, fan_in), x,
+                            out=ref)
+        referenced = None if self.pool is None else self.pool.submit(reference)
+        if referenced is None:
+            reference()
         y = simulate_layer(
             xp.reshape(q, arch.c, arch.k2, m), w6, self.mask.row,
             self.mask.col, self.mode, self.layout, self.device, self.fit,
-            self.rng, self.output_gating, self.coupling_free)
+            self.rng, self.output_gating, self.coupling_free, self.pool)
         y2d = y[:c_out] * (w_scale * x_scale)
 
-        ref = (w * self.mask.to_dense(c_out, fan_in)) @ x
-        if np.abs(ref).mean() > 0:
-            self.nmae_log.append(nmae(y2d, ref))
+        score = partial(_score, y2d, ref, np.empty_like(ref), referenced)
+        if self.pool is None:
+            self._append(score())
+        else:
+            y2d.flags.writeable = False
+            self._scoring.append(self.pool.submit(score))
         return y2d
+
+
+def _score(y: np.ndarray, ref: np.ndarray, diff: np.ndarray,
+           referenced: Future | None) -> float | None:
+    """``nmae(y, ref)`` with one |ref| pass, using ``diff`` (``ref``'s
+    shape) as scratch, or None when ``ref`` is all zero; ``referenced``,
+    when given, is the job filling ``ref``."""
+    if referenced is not None:
+        referenced.result()
+    np.abs(ref, out=diff)
+    denom = diff.mean()
+    if not denom > 0:
+        return None
+    np.subtract(y, ref, out=diff)
+    np.abs(diff, out=diff)
+    return float(diff.mean() / denom)
 
 
 def _dense_mask(layer: _MatmulLayer, arch: ArchConfig, device: DeviceParams,
@@ -279,7 +339,7 @@ def evaluate_with_variation(model: Sequential, masks: dict[int, SparsityMask],
                             layout: LayoutParams, fit: GammaFit,
                             mode: ExecutionMode | str, n_trials: int,
                             seed: int, x: np.ndarray, y: np.ndarray,
-                            output_gating: bool = True) -> dict:
+                            output_gating: bool = True, threads: int = 1) -> dict:
     """Accuracy and per-layer N-MAE through the noisy hardware path.
 
     Every conv/linear layer runs on the simulated cores; the final linear
@@ -287,7 +347,20 @@ def evaluate_with_variation(model: Sequential, masks: dict[int, SparsityMask],
     share one :class:`Workspace` for their inputs.  Returns clean accuracy
     (exact arithmetic), the per-trial noisy accuracies with their mean and
     sample std (None for one trial), and mean N-MAE per layer.
+
+    With ``threads`` >= 2, one worker thread, open for the whole
+    evaluation, serves every backend (:class:`PhotonicBackend`'s ``pool``):
+    it computes each product's exact reference and draws its detector
+    normals while the calling thread realizes and contracts, and scores
+    the product's N-MAE while the calling thread goes on through the
+    network.  The calls of one generator run one after another on the
+    calling thread, and each waits for its own draw before it returns, so
+    every generator yields the same numbers in the same order as without
+    the worker.  One worker already keeps pace with the calling thread,
+    so a larger ``threads`` adds none.  The result does not depend on
+    ``threads``.
     """
+    check_threads(threads)
     if n_trials < 1:
         raise DeviceModelError("n_trials must be >= 1")
     if not isinstance(mode, ExecutionMode):
@@ -304,23 +377,27 @@ def evaluate_with_variation(model: Sequential, masks: dict[int, SparsityMask],
     trial_accs: list[float] = []
     layer_nmae: dict[str, list[float]] = {layer.name: [] for _, layer in mapped}
     workspace = Workspace()
-    for trial in range(n_trials):
-        backends = {}
-        for idx, layer in mapped:
-            backends[idx] = PhotonicBackend(
-                layer_masks[idx], arch, device, layout, fit, mode,
-                rng=derive_rng(seed, 300, trial, idx),
-                output_gating=output_gating,
-                coupling_free=(idx == last_idx), workspace=workspace)
-            layer.photonic = backends[idx]
-        try:
-            trial_accs.append(evaluate_accuracy(model, x, y))
-        finally:
-            for _, layer in mapped:
-                layer.photonic = None
-        for idx, layer in mapped:
-            if backends[idx].nmae_log:
-                layer_nmae[layer.name].append(float(np.mean(backends[idx].nmae_log)))
+    with (ThreadPoolExecutor(max_workers=1) if threads > 1
+          else nullcontext()) as pool:
+        for trial in range(n_trials):
+            backends = {}
+            for idx, layer in mapped:
+                backends[idx] = PhotonicBackend(
+                    layer_masks[idx], arch, device, layout, fit, mode,
+                    rng=derive_rng(seed, 300, trial, idx),
+                    output_gating=output_gating,
+                    coupling_free=(idx == last_idx), workspace=workspace,
+                    pool=pool)
+                layer.photonic = backends[idx]
+            try:
+                trial_accs.append(evaluate_accuracy(model, x, y))
+            finally:
+                for _, layer in mapped:
+                    layer.photonic = None
+            for idx, layer in mapped:
+                if backends[idx].nmae_log:
+                    layer_nmae[layer.name].append(
+                        float(np.mean(backends[idx].nmae_log)))
 
     accs = np.asarray(trial_accs)
     return {

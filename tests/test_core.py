@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -476,6 +477,29 @@ def test_quiet_layer_is_the_sum_of_its_cores(mode, output_gating, coupling_free)
     expected = cores.sum(axis=(2, 4)).reshape(2, P * R * K1, -1)
     assert y.shape == expected.shape
     assert np.allclose(y, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_seeds, threads", [(None, 1), (2, 1), (2, 2)])
+def test_layer_pool_leaves_products_and_stream_unchanged(n_seeds, threads):
+    # Without a seed axis (or with one not split) the detector normals are
+    # drawn on the pool; with a split seed axis they are drawn inline.
+    # Either way the products and the generator's next draw are the same.
+    w6, x, row, col = _layer_operands(62, n_seeds=n_seeds or 1)
+    if n_seeds is None:
+        x, col = x[0], col[0]
+    readouts = [(ExecutionMode.INPUT_GATING_LR, True), (ExecutionMode.PRUNE_ONLY, False)]
+
+    def run(pool):
+        rng = derive_rng(63)
+        y = simulate_layer_readouts(x, w6, row[None], col, readouts, [LAY],
+                                    rng=rng, threads=threads, pool=pool)
+        return y, rng.standard_normal(3)
+
+    alone = run(None)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pooled = run(pool)
+    assert np.array_equal(alone[0], pooled[0])
+    assert np.array_equal(alone[1], pooled[1])
 
 
 def test_layer_detector_noise_is_one_draw_per_output():

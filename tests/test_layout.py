@@ -12,13 +12,38 @@ from ptcsim.layout import (
     CROSSTALK_FLOOR,
     HEAT_CHUNK,
     LayoutParams,
-    aggressor_distances,
     coupling_matrices,
     perturbed_phases,
     row_kernels,
 )
 
 LAY = LayoutParams()  # l_s=9, l_g=5, l_v=120, ps_width=6 -> l_h=20
+
+
+def aggressor_distances(victim: int, aggressor: int, sign_aggressor: float,
+                        layout: LayoutParams, k2: int) -> tuple[float, float]:
+    """Distances (um) from an aggressor's heated arm to a victim's two arms:
+    the scalar oracle of :func:`coupling_matrices`, one pair at a time.
+
+    MZIs are indexed flat as ``column * k2 + row`` (column = output channel,
+    row = input channel).  Returns ``(d_up, d_lo)``: distance to the
+    victim's upper and lower arm.  The aggressor heats its upper arm when
+    its phase is >= 0, its lower arm otherwise; the lower arm of any MZI is
+    offset +l_s along the horizontal axis from its upper arm.
+    """
+    if victim == aggressor:
+        raise DeviceModelError("an MZI is not its own aggressor")
+    dr = (aggressor % k2) - (victim % k2)
+    dc = (aggressor // k2) - (victim // k2)
+    vert = dr * layout.l_v_um
+    horiz = dc * layout.l_h_um
+    if sign_aggressor >= 0:
+        d_up = math.hypot(vert, horiz)
+        d_lo = math.hypot(vert, horiz + layout.l_s_um)
+    else:
+        d_up = math.hypot(vert, horiz - layout.l_s_um)
+        d_lo = math.hypot(vert, horiz)
+    return d_up, d_lo
 
 
 def test_column_pitch_is_derived():

@@ -1,11 +1,16 @@
 """End-to-end sparse training, hardware-backed evaluation, checkpoints."""
 
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from ptcsim.core import ExecutionMode, derive_rng
+import ptcsim.training
+from ptcsim.core import ExecutionMode, derive_rng, nmae
 from ptcsim.data import load_dataset, resolve_dataset, synthetic_separable
 from ptcsim.devices import DeviceModelError, DeviceParams
 from ptcsim.layout import LayoutParams
@@ -358,3 +363,91 @@ def test_evaluate_with_variation_matches_fresh_backends(mode):
         "trial_accuracies": accs,
         "layer_nmae": {name: float(np.mean(v)) for name, v in logs.items()},
     }
+
+
+# ---------------------------------------------------------------------------
+# evaluation on a worker thread
+# ---------------------------------------------------------------------------
+
+def _evaluate_toy(result, mode, output_gating, threads, n_test=40):
+    if n_test <= 60:
+        x_test, y_test = _toy_data()[2][:n_test], _toy_data()[3][:n_test]
+    else:
+        x_test, y_test = synthetic_separable(n=n_test, dim=12, classes=3, seed=4)
+    return evaluate_with_variation(result.model, result.masks, DESK_ARCH,
+                                   DeviceParams(), LAY, GammaFit(), mode,
+                                   n_trials=2, seed=7, x=x_test, y=y_test,
+                                   output_gating=output_gating, threads=threads)
+
+
+@pytest.mark.parametrize("mode, output_gating",
+                         [("input_gating_lr", True), ("prune_only", False)])
+@pytest.mark.parametrize("n_test", [40, 600])
+def test_evaluate_threads_leave_the_result_unchanged(mode, output_gating, n_test):
+    """600 test samples are two batches, so each backend makes two calls
+    on one generator: the second call's draws follow the first's."""
+    result = _run_toy(0.5, epochs=2)
+    one = _evaluate_toy(result, mode, output_gating, 1, n_test)
+    for threads in (2, 3):
+        assert _evaluate_toy(result, mode, output_gating, threads, n_test) == one
+
+
+def test_evaluate_threads_under_frequent_thread_switches():
+    result = _run_toy(0.5, epochs=2)
+    one = _evaluate_toy(result, "input_gating_lr", True, 1, 600)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [_evaluate_toy(result, "input_gating_lr", True, threads, 600)
+               for threads in (2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [one, one]
+
+
+def test_evaluate_scores_on_the_worker_and_raises_its_error(monkeypatch):
+    result = _run_toy(0.5, epochs=2)
+    ran_on = set()
+    score = ptcsim.training._score
+
+    def recording(*args):
+        ran_on.add(threading.current_thread() is threading.main_thread())
+        return score(*args)
+
+    monkeypatch.setattr(ptcsim.training, "_score", recording)
+    _evaluate_toy(result, "prune_only", True, 2)
+    assert ran_on == {False}
+
+    def failing(*args):
+        raise RuntimeError("scoring failed")
+
+    monkeypatch.setattr(ptcsim.training, "_score", failing)
+    for threads in (1, 2):
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            _evaluate_toy(result, "prune_only", True, threads)
+        assert all(l.photonic is None for l in result.model.matmul_layers())
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5, True])
+def test_evaluate_rejects_a_bad_thread_count(threads):
+    result = _run_toy(0.5, epochs=2)
+    with pytest.raises(DeviceModelError, match="threads must be at least 1"):
+        _evaluate_toy(result, "prune_only", True, threads)
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_photonic_backend_logs_core_nmae(pooled):
+    """The logged score, computed with one |ref| pass, equals
+    ``core.nmae`` of the product against the exact masked reference bit
+    for bit, with and without a pool; with one, the product is read-only."""
+    rng = np.random.default_rng(4)
+    w = rng.uniform(-0.5, 0.5, size=(6, 20))
+    x = rng.uniform(0.0, 2.0, size=(20, 30))
+    mask = init_masks(0.5, 6, 20, DESK_ARCH, w, DeviceParams(), LAY)
+    with ThreadPoolExecutor(max_workers=1) if pooled else nullcontext() as pool:
+        backend = PhotonicBackend(mask, DESK_ARCH, DeviceParams(), LAY,
+                                  GammaFit(), ExecutionMode.INPUT_GATING,
+                                  derive_rng(1), pool=pool)
+        y = backend(w, x)
+        assert y.flags.writeable is not pooled
+        assert backend.nmae_log == [nmae(y, (w * mask.to_dense(6, 20)) @ x)]

@@ -18,9 +18,11 @@ Runs, through ``ptcsim.cli.main`` and each into its own directory under
   with ``--threads 2`` (into ``train_threads_2``): its weight gradients
   computed on a worker thread, so its ``checkpoint.json`` and
   ``metrics.csv`` must carry ``train_1_0.3``'s digests;
-* ``evaluate --trials 2`` on the seed-1, density-0.3 checkpoint, and
-  ``evaluate --mode prune_only --no-output-gating --trials 2`` on the
-  seed-1, density-0.5 one.
+* ``evaluate --trials 2`` on the seed-1, density-0.3 checkpoint, once
+  more with ``--threads 2`` (into ``evaluate_threads_2``): its noise drawn
+  and its N-MAE scored on a worker thread, so its ``evaluate.json`` must
+  carry ``evaluate``'s digest; and ``evaluate --mode prune_only
+  --no-output-gating --trials 2`` on the seed-1, density-0.5 one.
 
 Then prints one ``sha256  path`` line per file in ``OUT_DIR`` (the
 artifacts and the training config it writes), sorted by path.  The
@@ -67,6 +69,9 @@ def commands(root: Path, config: Path) -> list[list[str]]:
     runs.append(["--seed", "1", "--out", str(root / "evaluate"), "evaluate",
                  "--checkpoint", str(root / "train_1_0.3" / "checkpoint.json"),
                  "--trials", "2"])
+    runs.append(["--seed", "1", "--out", str(root / "evaluate_threads_2"),
+                 "--threads", "2", "evaluate", "--checkpoint",
+                 str(root / "train_1_0.3" / "checkpoint.json"), "--trials", "2"])
     runs.append(["--seed", "1", "--out", str(root / "evaluate_prune_only"),
                  "evaluate", "--checkpoint",
                  str(root / "train_1_0.5" / "checkpoint.json"),
