@@ -377,22 +377,13 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     *_, p, q, r, c, k1, k2 = w.shape
     m = x2d.shape[-1]
     noise = _phase_noise(lead + w.shape[-6:], params, rng)
+    phases = weight_to_phase(w)
+    if noise is not None:
+        phases = phases.astype(np.float32)
     # Under phase noise each core of the lead is realized on its own, so
     # several of them can read one mapping (row, weight and column leads).
     mapped = np.broadcast_shapes(rows.shape[1:-2], w.shape[:-6], col.shape[:-4])
     cores = lead if noise is not None else mapped
-    n = min(threads, cores[0]) if len(cores) == len(lead) > 0 else 1
-    normals = drawn = None
-    if params.pd_noise_sigma > 0:
-        normals = np.empty(lead + (p * r * k1, m))
-        draw = partial(rng.standard_normal, out=normals)
-        if pool is None or n > 1:
-            draw()
-        else:
-            drawn = pool.submit(draw)
-    phases = weight_to_phase(w)
-    if noise is not None:
-        phases = phases.astype(np.float32)
     shared = not coupling_free and mapped != cores
     # One buffer serves every realization.
     w_real = np.empty(cores + (p, r * k1, q * c * k2))
@@ -400,6 +391,7 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
     if out is None:
         out = np.empty((len(layouts), len(rows), len(readouts)) + lead
                        + (p * r * k1, m))
+    n = min(threads, cores[0]) if len(cores) == len(lead) > 0 else 1
     slices = ([slice(cores[0] * i // n, cores[0] * (i + 1) // n) for i in range(n)]
               if n > 1 else [slice(None)])
 
@@ -417,6 +409,14 @@ def _light_path(x2d, w, rows, col, readouts, layouts, lead, params, fit, rng,
                     coupling_free, crossed and [cut(a, 6) for a in crossed],
                     drawn)
 
+    normals = drawn = None
+    if params.pd_noise_sigma > 0:
+        normals = np.empty(lead + (p * r * k1, m))
+        draw = partial(rng.standard_normal, out=normals)
+        if pool is None or n > 1:
+            draw()
+        else:
+            drawn = pool.submit(draw)
     try:
         with ThreadPoolExecutor(max_workers=n) if n > 1 else nullcontext() as workers:
             for ig, row in enumerate(rows):
@@ -625,9 +625,11 @@ def ideal_mvm(x, w, row_mask=None, col_mask=None) -> np.ndarray:
     return masked @ np.asarray(x, dtype=float)
 
 
-def nmae(y_actual, y_reference) -> float:
+def nmae(y_actual, y_reference, scratch: np.ndarray | None = None) -> float:
     """Normalized mean absolute error: mean|y - ref| / mean|ref|.
 
+    ``scratch``, a float64 array of the operands' shape, takes |ref| and
+    |y - ref| in turn instead of new arrays; the value is the same.
     Raises when the operands are empty or the reference is identically zero
     (the metric is undefined).
     """
@@ -637,7 +639,8 @@ def nmae(y_actual, y_reference) -> float:
         raise DeviceModelError("N-MAE operands must have identical shapes")
     if ref.size == 0:
         raise DeviceModelError("N-MAE is undefined for empty operands")
-    denom = np.mean(np.abs(ref))
+    denom = np.mean(np.abs(ref, out=scratch))
     if denom == 0.0:
         raise DeviceModelError("N-MAE is undefined for an all-zero reference")
-    return float(np.mean(np.abs(actual - ref)) / denom)
+    diff = np.subtract(actual, ref, out=scratch)
+    return float(np.mean(np.abs(diff, out=diff)) / denom)

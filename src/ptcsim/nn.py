@@ -344,34 +344,25 @@ class Sequential:
         reads the model input's gradient, so the first layer skips it.
 
         With ``pool``, each conv/linear layer but the first (which has no
-        input gradient to overlap with) and the head submits its
-        weight-gradient products, ``dw`` and ``db``, to it, and the calling
-        thread goes on down the input-gradient chain (``q(W).T @ g``,
-        ``col2im``, ReLU, pooling).  The head, the last conv/linear layer,
-        is as wide as the loss gradient, so its products cost less than
-        waking the worker: the calling thread runs them after the chain,
-        while the worker finishes the layers below.  All jobs are waited
-        for, and the first error in one is raised, before this returns.  A
-        job reads only its layer's output gradient and the input cached by
-        forward, which nothing writes before the next forward, and writes
-        only ``dw`` and ``db``, which nothing reads before this returns.
-        The products and operands are the same, so the gradients equal the
-        serial call's bit for bit.
+        input gradient to overlap with) submits its weight-gradient
+        products, ``dw`` and ``db``, to it, and the calling thread goes on
+        down the input-gradient chain (``q(W).T @ g``, ``col2im``, ReLU,
+        pooling).  All jobs are waited for, and the first error in one is
+        raised, before this returns.  A job reads only its layer's output
+        gradient and the input cached by forward, which nothing writes
+        before the next forward, and writes only ``dw`` and ``db``, which
+        nothing reads before this returns.  The products and operands are
+        the same, so the gradients equal the serial call's bit for bit.
         """
-        jobs, after_chain = [], []
+        jobs = []
         defer = _now if pool is None else (lambda job: jobs.append(pool.submit(job)))
-        head = max((i for i, layer in enumerate(self.layers)
-                    if isinstance(layer, _MatmulLayer)), default=0)
         try:
             for i in range(len(self.layers) - 1, -1, -1):
                 layer = self.layers[i]
                 if i > 0 and isinstance(layer, _MatmulLayer):
-                    grad = layer.backward(
-                        grad, defer=after_chain.append if i == head else defer)
+                    grad = layer.backward(grad, defer=defer)
                 else:
                     grad = layer.backward(grad, input_grad=i > 0)
-            for job in after_chain:
-                job()
         finally:
             wait(jobs)
         for job in jobs:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .arch import ArchConfig, energy
 # simulate_mvm_batch: bound for bench/test_bench.py::test_tracer_wraps_every_binding_and_restores_them
-from .core import (ExecutionMode, check_threads, derive_rng, simulate_layer,
+from .core import (ExecutionMode, check_threads, derive_rng, nmae, simulate_layer,
                    simulate_mvm_batch)
 from .devices import DeviceModelError, DeviceParams, GammaFit
 from .layout import LayoutParams
@@ -97,13 +97,13 @@ class PhotonicBackend:
     submitted before the light path so that it reads ``x2d`` while the
     layer still holds it; the light path's detector normals (see
     :func:`~ptcsim.core.simulate_layer`); and, after the light path, the
-    N-MAE against the reference.  The N-MAE job reads the product, so the
-    product comes back read-only, and the caller must not write ``x2d``
+    N-MAE against the reference.  The caller must not write ``x2d``
     before reading ``nmae_log``, which waits for the jobs and raises the
     first error of one.  The generator draws the same numbers in the same
     order, and the scoring runs the same operations on the same operands,
     so neither the products nor the log depend on ``pool``.  Without one,
-    everything runs inline.
+    every job runs inline when it is due.  The scoring reads the product,
+    so the product comes back read-only.
     """
 
     def __init__(self, mask: SparsityMask, arch: ArchConfig,
@@ -131,13 +131,11 @@ class PhotonicBackend:
         """The N-MAE of each call whose reference is not all zero, in call
         order, once every scoring job submitted so far has finished."""
         while self._scoring:
-            self._append(self._scoring[0].result())
+            score = self._scoring[0].result()
             del self._scoring[0]
+            if score is not None:
+                self._log.append(score)
         return self._log
-
-    def _append(self, score: float | None) -> None:
-        if score is not None:
-            self._log.append(score)
 
     def __call__(self, w2d: np.ndarray, x2d: np.ndarray) -> np.ndarray:
         arch = self.arch
@@ -157,40 +155,39 @@ class PhotonicBackend:
         # before the layer's forward lets go of it; its N-MAE follows the
         # light path.
         ref = np.empty((c_out, m))
-        reference = partial(np.matmul, w * self.mask.to_dense(c_out, fan_in), x,
-                            out=ref)
-        referenced = None if self.pool is None else self.pool.submit(reference)
-        if referenced is None:
-            reference()
+        referenced = _start(self.pool, partial(
+            np.matmul, w * self.mask.to_dense(c_out, fan_in), x, out=ref))
         y = simulate_layer(
             xp.reshape(q, arch.c, arch.k2, m), w6, self.mask.row,
             self.mask.col, self.mode, self.layout, self.device, self.fit,
             self.rng, self.output_gating, self.coupling_free, self.pool)
         y2d = y[:c_out] * (w_scale * x_scale)
-
-        score = partial(_score, y2d, ref, np.empty_like(ref), referenced)
-        if self.pool is None:
-            self._append(score())
-        else:
-            y2d.flags.writeable = False
-            self._scoring.append(self.pool.submit(score))
+        y2d.flags.writeable = False
+        self._scoring.append(_start(self.pool, partial(
+            _score, y2d, ref, np.empty_like(ref), referenced)))
         return y2d
 
 
-def _score(y: np.ndarray, ref: np.ndarray, diff: np.ndarray,
-           referenced: Future | None) -> float | None:
-    """``nmae(y, ref)`` with one |ref| pass, using ``diff`` (``ref``'s
-    shape) as scratch, or None when ``ref`` is all zero; ``referenced``,
-    when given, is the job filling ``ref``."""
-    if referenced is not None:
-        referenced.result()
-    np.abs(ref, out=diff)
-    denom = diff.mean()
-    if not denom > 0:
+def _start(pool: Executor | None, job) -> Future:
+    """``job`` submitted to ``pool``; without one, run at once (its error
+    raises here) and handed back as a finished future."""
+    if pool is not None:
+        return pool.submit(job)
+    done = Future()
+    done.set_result(job())
+    return done
+
+
+def _score(y: np.ndarray, ref: np.ndarray, scratch: np.ndarray,
+           referenced: Future) -> float | None:
+    """``nmae(y, ref)``, with ``scratch`` (``ref``'s shape) for its
+    intermediates, once ``referenced`` has filled ``ref``; None where the
+    N-MAE is undefined (an all-zero reference)."""
+    referenced.result()
+    try:
+        return nmae(y, ref, scratch)
+    except DeviceModelError:
         return None
-    np.subtract(y, ref, out=diff)
-    np.abs(diff, out=diff)
-    return float(diff.mean() / denom)
 
 
 def _dense_mask(layer: _MatmulLayer, arch: ArchConfig, device: DeviceParams,

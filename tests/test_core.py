@@ -885,3 +885,11 @@ def test_nmae_basics():
     for shape in ((0,), (4, 0)):
         with pytest.raises(DeviceModelError, match="empty operands"):
             nmae(np.zeros(shape), np.zeros(shape))
+
+
+def test_nmae_scratch_gives_the_same_value():
+    rng = np.random.default_rng(5)
+    y, ref = rng.standard_normal((2, 7, 9))
+    scratch = np.empty_like(ref)
+    assert nmae(y, ref, scratch) == nmae(y, ref)
+    assert np.array_equal(scratch, np.abs(y - ref))

@@ -437,9 +437,9 @@ def test_evaluate_rejects_a_bad_thread_count(threads):
 
 @pytest.mark.parametrize("pooled", [False, True])
 def test_photonic_backend_logs_core_nmae(pooled):
-    """The logged score, computed with one |ref| pass, equals
-    ``core.nmae`` of the product against the exact masked reference bit
-    for bit, with and without a pool; with one, the product is read-only."""
+    """The logged score equals ``core.nmae`` of the product against the
+    exact masked reference bit for bit, with and without a pool; the
+    product is read-only, since the scoring may still read it."""
     rng = np.random.default_rng(4)
     w = rng.uniform(-0.5, 0.5, size=(6, 20))
     x = rng.uniform(0.0, 2.0, size=(20, 30))
@@ -449,5 +449,5 @@ def test_photonic_backend_logs_core_nmae(pooled):
                                   GammaFit(), ExecutionMode.INPUT_GATING,
                                   derive_rng(1), pool=pool)
         y = backend(w, x)
-        assert y.flags.writeable is not pooled
+        assert not y.flags.writeable
         assert backend.nmae_log == [nmae(y, (w * mask.to_dense(6, 20)) @ x)]
